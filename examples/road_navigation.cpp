@@ -12,14 +12,10 @@
  */
 
 #include <iostream>
-#include <memory>
+#include <string>
 
 #include "algos/relaxation.h"
-#include "core/hdcps.h"
-#include "cps/obim.h"
-#include "cps/pmod.h"
-#include "cps/reld.h"
-#include "cps/swminnow.h"
+#include "core/registry.h"
 #include "graph/generators.h"
 #include "runtime/executor.h"
 #include "stats/table.h"
@@ -32,42 +28,23 @@ main()
     Graph graph = makeRoadGrid(96, 96, {.seed = 7});
     const unsigned threads = 4;
 
-    struct DesignRow
-    {
-        const char *label;
-        std::unique_ptr<Scheduler> scheduler;
-    };
-    std::vector<DesignRow> designs;
-    designs.push_back({"reld", std::make_unique<ReldScheduler>(threads)});
-    designs.push_back({"obim", std::make_unique<ObimScheduler>(threads)});
-    designs.push_back({"pmod", std::make_unique<PmodScheduler>(threads)});
-    {
-        SwMinnowScheduler::MinnowConfig config;
-        config.numMinnows = 1;
-        designs.push_back(
-            {"swminnow",
-             std::make_unique<SwMinnowScheduler>(threads, config)});
-    }
-    designs.push_back(
-        {"hdcps-sw", std::make_unique<HdCpsScheduler>(
-                         threads, HdCpsScheduler::configSw())});
-
     Table table({"design", "wall-ms", "tasks", "drift", "goal-cost"});
-    for (DesignRow &row : designs) {
+    for (const std::string &design : schedulerNames()) {
+        auto scheduler = makeScheduler(design, threads);
         AstarWorkload workload(graph, /*source=*/0);
         RunOptions options;
         options.numThreads = threads;
         options.driftSampleInterval = 500;
         RunResult result =
-            run(*row.scheduler, workload.initialTasks(),
+            run(*scheduler, workload.initialTasks(),
                 workloadProcessFn(workload), options);
         std::string why;
         if (!workload.verify(&why)) {
-            std::cerr << row.label << " FAILED: " << why << "\n";
+            std::cerr << design << " FAILED: " << why << "\n";
             return 1;
         }
         table.row()
-            .cell(row.label)
+            .cell(design)
             .cell(double(result.wallNs) / 1e6, 1)
             .cell(result.total.tasksProcessed)
             .cell(result.avgDrift, 1)
@@ -78,7 +55,7 @@ main()
                     "verified against sequential A*)");
     std::cout
         << "\nFewer tasks = better work efficiency. Note: push-style "
-           "designs (reld, hdcps-sw) rely on destination cores "
+           "designs (reld, hdcps-*) rely on destination cores "
            "consuming tasks concurrently, so on hosts with fewer "
            "physical cores than threads they show inflated task "
            "counts; pull-style designs (obim/pmod) are insensitive to "

@@ -101,13 +101,18 @@ ObimBase::tryPop(unsigned tid, Task &out)
         w.takenFromCurrent = 0;
     }
 
-    // Search the global map for the best non-empty bag.
-    ObimBag *best = findBestBag();
-    if (!best)
-        return false;
-    size_t got = best->popChunk(w.chunk, config_.chunkSize);
-    if (got == 0)
-        return false; // raced with other workers; caller will retry
+    // Search the global map for the best non-empty bag. Another thread
+    // (a worker, or swminnow's helper) may empty it between the search
+    // and the pop; search again rather than report an empty scheduler
+    // while other bags still hold work.
+    ObimBag *best = nullptr;
+    size_t got = 0;
+    while (got == 0) {
+        best = findBestBag();
+        if (!best)
+            return false;
+        got = best->popChunk(w.chunk, config_.chunkSize);
+    }
     w.currentBag = best;
     w.takenFromCurrent = got;
     out = w.chunk.back();

@@ -74,54 +74,12 @@ struct JobRecord
     std::mutex waitMutex;
     std::condition_variable waitCv;
 
-    /**
-     * Poison-task quarantine. A task the svc.task.poison drill marks
-     * (keyed by node+data, attempt-independent) fails on *every*
-     * attempt; once retries are exhausted the final incarnation lands
-     * in deadLetters instead of being re-queued forever. poisonGate is
-     * the hot-path skip: the per-task check costs one relaxed load
-     * until the first poisoning (release store pairs with the acquire
-     * load so a retry incarnation popped elsewhere sees its key).
-     */
-    std::atomic<uint32_t> poisonGate{0};
+    /** Poison-task quarantine: tasks that exhausted their retries
+     *  under RetryPolicy::deadLetterOnExhaustion, in quarantine
+     *  order. */
     mutable std::mutex poisonMutex;
-    std::vector<uint64_t> poisonKeys;
     std::vector<Task> deadLetters;
     std::atomic<uint64_t> poisoned{0};
-
-    static uint64_t
-    poisonKey(const Task &t)
-    {
-        return (uint64_t(t.node) << 32) | t.data;
-    }
-
-    void
-    markPoisoned(const Task &t)
-    {
-        std::lock_guard<std::mutex> lock(poisonMutex);
-        uint64_t key = poisonKey(t);
-        for (uint64_t k : poisonKeys) {
-            if (k == key)
-                return;
-        }
-        poisonKeys.push_back(key);
-        poisonGate.store(uint32_t(poisonKeys.size()),
-                         std::memory_order_release);
-    }
-
-    bool
-    isPoisoned(const Task &t) const
-    {
-        if (poisonGate.load(std::memory_order_acquire) == 0)
-            return false;
-        std::lock_guard<std::mutex> lock(poisonMutex);
-        uint64_t key = poisonKey(t);
-        for (uint64_t k : poisonKeys) {
-            if (k == key)
-                return true;
-        }
-        return false;
-    }
 
     ExecutorService *svc; ///< valid until the job is terminal
     /** Owning tenant's fair-queueing state (stable address; set at
@@ -814,19 +772,6 @@ ExecutorService::processTask(unsigned tid, const RecordPtr &record,
         if (faultFires(faultsite::SvcJobFail)) {
             throw FaultInjectedError(
                 "injected service task failure (svc.job.fail)");
-        }
-        // Poison drill: mark this task so *every* attempt fails. Only
-        // pristine first incarnations consult the drill (raw attempt
-        // word 0: first try AND demote stamp 0), so the invocation
-        // index — and with it the set of poisoned tasks under a fixed
-        // seed — is independent of retry and demotion interleaving.
-        if (task.attempt == 0 &&
-            faultFires(faultsite::SvcTaskPoison)) {
-            record->markPoisoned(task);
-        }
-        if (record->isPoisoned(task)) {
-            throw FaultInjectedError(
-                "injected poison task (svc.task.poison)");
         }
         record->process(tid, task, children);
     } catch (const std::exception &e) {

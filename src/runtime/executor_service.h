@@ -87,7 +87,8 @@
  * publication to widen the cancel/complete race, `svc.worker.wedge`
  * stalls a worker at its loop top without heartbeats,
  * `svc.worker.die` makes a worker exit its loop as if crashed, and
- * `svc.task.poison` makes a task fail on every attempt.
+ * `svc.task.poison` makes a task fail on every attempt of a job whose
+ * ProcessFn is wrapped with withPoisonDrill (runtime/poison_drill.h).
  *
  * Thread safety: submit/cancel/wait/stats are safe from any thread
  * (including concurrently with each other); shutdown() and the

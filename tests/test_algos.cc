@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <numeric>
+#include <string>
 
 #include "algos/color.h"
 #include "algos/mst.h"
@@ -16,11 +17,7 @@
 #include "algos/relaxation.h"
 #include "algos/sequential.h"
 #include "algos/workload.h"
-#include "core/hdcps.h"
-#include "cps/obim.h"
-#include "cps/pmod.h"
-#include "cps/reld.h"
-#include "cps/swminnow.h"
+#include "core/registry.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 
@@ -248,30 +245,9 @@ INSTANTIATE_TEST_SUITE_P(Kernels, WorkloadSequentialDrive,
 struct MatrixParam
 {
     const char *kernel;
-    const char *scheduler;
+    std::string scheduler;
     const char *input;
 };
-
-std::unique_ptr<Scheduler>
-makeThreadedScheduler(const std::string &name, unsigned workers)
-{
-    if (name == "reld")
-        return std::make_unique<ReldScheduler>(workers, 7);
-    if (name == "obim")
-        return std::make_unique<ObimScheduler>(workers);
-    if (name == "pmod")
-        return std::make_unique<PmodScheduler>(workers);
-    if (name == "swminnow") {
-        SwMinnowScheduler::MinnowConfig config;
-        config.numMinnows = 1;
-        return std::make_unique<SwMinnowScheduler>(workers, config);
-    }
-    if (name == "hdcps-sw") {
-        return std::make_unique<HdCpsScheduler>(
-            workers, HdCpsScheduler::configSw());
-    }
-    hdcps_fatal("unknown scheduler %s", name.c_str());
-}
 
 class KernelSchedulerMatrix : public testing::TestWithParam<MatrixParam>
 {
@@ -285,7 +261,7 @@ TEST_P(KernelSchedulerMatrix, ParallelResultMatchesReference)
                   : makeRmat(9, 5u << 9, 0.5, 0.22, 0.22, {.seed = 23});
     auto workload = makeWorkload(param.kernel, g, 0);
     constexpr unsigned threads = 4;
-    auto sched = makeThreadedScheduler(param.scheduler, threads);
+    auto sched = makeScheduler(param.scheduler, threads);
     RunOptions options;
     options.numThreads = threads;
     RunResult result = run(*sched, workload->initialTasks(),
@@ -302,8 +278,7 @@ matrixParams()
     std::vector<MatrixParam> params;
     for (const char *kernel :
          {"sssp", "bfs", "astar", "mst", "color", "pagerank"}) {
-        for (const char *sched :
-             {"reld", "obim", "pmod", "swminnow", "hdcps-sw"}) {
+        for (const std::string &sched : schedulerNames()) {
             for (const char *input : {"road", "rmat"}) {
                 params.push_back({kernel, sched, input});
             }

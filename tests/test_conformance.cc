@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -35,12 +36,7 @@
 #include <vector>
 
 #include "algos/workload.h"
-#include "core/hdcps.h"
-#include "cps/multiqueue.h"
-#include "cps/obim.h"
-#include "cps/pmod.h"
-#include "cps/reld.h"
-#include "cps/swminnow.h"
+#include "core/registry.h"
 #include "cps/verifying_scheduler.h"
 #include "graph/generators.h"
 #include "obs/metrics.h"
@@ -63,97 +59,65 @@ constexpr uint64_t kWideStep = uint64_t(1) << 33;
 
 struct DesignCase
 {
-    const char *name;
-    std::function<std::unique_ptr<Scheduler>(unsigned threads,
-                                             uint64_t seed)>
-        make;
-    /**
-     * Quiescent single-worker rank-error bound, in kWideStep ranks.
-     * Exact backends owe 0. The slack for the relaxed backends is a
-     * measured envelope with margin, not a derived law: multiqueue's
-     * best-of-2 sampling plus its insertion/deletion buffering misses
-     * the global min by a handful of ranks (measured ≤ 24 across the
-     * test seeds, deterministic per seed), and hdcps-mq's relaxed
-     * local backend by ≤ 20 — both far below the near-domain-width
-     * (~511 ranks here) signature of a 32-bit priority truncation,
-     * which is what the bound must catch.
-     * swminnow's helper races the push phase and stages whatever was
-     * best *at claim time*, but the worker re-checks the staged bag
-     * against the map's best at serve time and repushes stale stages,
-     * so the only work that can still be served out of rank order is
-     * work the map cannot see: the staging ring (64 slots at the
-     * default bufferCapacity) plus one helper chunk in flight between
-     * claim and stage (prefetchChunk = 16). 64 + 16 + margin = 96 —
-     * a structural capacity bound, not a timing envelope, and far
-     * below the ~511-rank truncation signature.
-     */
+    std::string name;
+    std::string design; ///< registry name
+    Topology topology;
     uint64_t rankBoundSteps;
+
+    std::unique_ptr<Scheduler>
+    make(unsigned threads, uint64_t seed) const
+    {
+        return makeScheduler(design, threads,
+                             {.seed = seed, .topology = topology});
+    }
 };
 
+/**
+ * Quiescent single-worker rank-error bound, in kWideStep ranks, of the
+ * relaxed designs; every other registered design is exact and owes 0.
+ * The slack for the relaxed backends is a measured envelope with
+ * margin, not a derived law: multiqueue's best-of-2 sampling plus its
+ * insertion/deletion buffering misses the global min by a handful of
+ * ranks (measured ≤ 24 across the test seeds, deterministic per seed),
+ * and hdcps-mq's relaxed local backend by ≤ 20 — both far below the
+ * near-domain-width (~511 ranks here) signature of a 32-bit priority
+ * truncation, which is what the bound must catch.
+ * swminnow's helper races the push phase and stages whatever was
+ * best *at claim time*, but the worker re-checks the staged bag
+ * against the map's best at serve time and repushes stale stages,
+ * so the only work that can still be served out of rank order is
+ * work the map cannot see: the staging ring (64 slots at the
+ * default bufferCapacity) plus one helper chunk in flight between
+ * claim and stage (prefetchChunk = 16). 64 + 16 + margin = 96 —
+ * a structural capacity bound, not a timing envelope, and far
+ * below the ~511-rank truncation signature.
+ */
+const std::map<std::string, uint64_t> kRelaxedRankBoundSteps = {
+    {"multiqueue", 72},
+    {"swminnow", 96},
+    {"hdcps-mq", 64},
+};
+
+/** Every registered design, plus the variants that are not one. */
 std::vector<DesignCase>
 conformanceDesigns()
 {
-    return {
-        {"reld",
-         [](unsigned n, uint64_t seed) {
-             return std::make_unique<ReldScheduler>(n, seed);
-         },
-         0},
-        {"obim",
-         [](unsigned n, uint64_t) {
-             return std::make_unique<ObimScheduler>(n);
-         },
-         0},
-        {"pmod",
-         [](unsigned n, uint64_t) {
-             return std::make_unique<PmodScheduler>(n);
-         },
-         0},
-        {"multiqueue",
-         [](unsigned n, uint64_t seed) {
-             return std::make_unique<MultiQueueScheduler>(n, 2, seed);
-         },
-         72},
-        {"swminnow",
-         [](unsigned n, uint64_t) {
-             return std::make_unique<SwMinnowScheduler>(n);
-         },
-         96},
-        {"hdcps-srq",
-         [](unsigned n, uint64_t seed) {
-             HdCpsConfig config = HdCpsScheduler::configSrq();
-             config.seed = seed;
-             return std::make_unique<HdCpsScheduler>(n, config);
-         },
-         0},
-        {"hdcps-sw",
-         [](unsigned n, uint64_t seed) {
-             HdCpsConfig config = HdCpsScheduler::configSw();
-             config.seed = seed;
-             return std::make_unique<HdCpsScheduler>(n, config);
-         },
-         0},
-        {"hdcps-mq",
-         [](unsigned n, uint64_t seed) {
-             HdCpsConfig config = HdCpsMqScheduler::configSw();
-             config.seed = seed;
-             return std::make_unique<HdCpsMqScheduler>(n, config);
-         },
-         64},
-        // Same software design under a synthetic 2-node topology:
-        // hierarchical routing, per-node peer groups, and node-aware
-        // reclamation must uphold the identical contract (and the same
-        // exact rank bound — locality changes *where* a task lands,
-        // never its priority).
-        {"hdcps-numa",
-         [](unsigned n, uint64_t seed) {
-             HdCpsConfig config = HdCpsScheduler::configSw();
-             config.seed = seed;
-             config.topology = Topology::synthetic(2, 2);
-             return std::make_unique<HdCpsScheduler>(n, config);
-         },
-         0},
-    };
+    std::vector<DesignCase> cases;
+    for (const std::string &name : schedulerNames()) {
+        auto bound = kRelaxedRankBoundSteps.find(name);
+        cases.push_back({name, name, Topology(),
+                         bound == kRelaxedRankBoundSteps.end()
+                             ? 0
+                             : bound->second});
+    }
+    // Same software design under a synthetic 2-node topology:
+    // hierarchical routing, per-node peer groups, and node-aware
+    // reclamation must uphold the identical contract (and the same
+    // exact rank bound — locality changes *where* a task lands,
+    // never its priority).
+    cases.push_back(
+        {"hdcps-numa", "hdcps-sw", Topology::synthetic(2, 2), 0});
+    return cases;
 }
 
 /** One chaos corner of the scenario matrix. */
@@ -227,8 +191,7 @@ runConformanceScenario(const DesignCase &design, const ChaosCase &chaos,
                        uint64_t expectTasks, // 0 = don't check
                        Workload *oracle)
 {
-    SCOPED_TRACE(std::string(design.name) + "/" + chaos.label + "/" +
-                 kernelLabel);
+    SCOPED_TRACE(design.name + "/" + chaos.label + "/" + kernelLabel);
     const uint64_t seed = 1234;
 
     ScopedFaultInjection faults(seed);
@@ -494,7 +457,8 @@ TEST_P(ConformanceMatrix, TeardownWithArmedFaultsAndQueuedTasks)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDesigns, ConformanceMatrix,
-                         testing::Range<size_t>(0, 9),
+                         testing::Range<size_t>(0,
+                                                conformanceDesigns().size()),
                          [](const testing::TestParamInfo<size_t> &info) {
                              std::string name =
                                  conformanceDesigns()[info.param].name;

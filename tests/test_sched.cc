@@ -13,13 +13,14 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/hdcps.h"
+#include "core/registry.h"
 #include "cps/multiqueue.h"
 #include "cps/obim.h"
 #include "cps/pmod.h"
@@ -34,73 +35,37 @@
 namespace hdcps {
 namespace {
 
-using SchedulerFactory =
-    std::function<std::unique_ptr<Scheduler>(unsigned workers)>;
-
-struct SchedulerCase
+/** Every registered design, plus the variants that are not one. */
+std::vector<std::string>
+matrixDesigns()
 {
-    const char *label;
-    SchedulerFactory make;
-};
-
-std::vector<SchedulerCase>
-allSchedulers()
-{
-    return {
-        {"reld",
-         [](unsigned n) { return std::make_unique<ReldScheduler>(n, 3); }},
-        {"obim",
-         [](unsigned n) { return std::make_unique<ObimScheduler>(n); }},
-        {"pmod",
-         [](unsigned n) { return std::make_unique<PmodScheduler>(n); }},
-        {"swminnow",
-         [](unsigned n) {
-             SwMinnowScheduler::MinnowConfig config;
-             config.numMinnows = 1;
-             return std::make_unique<SwMinnowScheduler>(n, config);
-         }},
-        {"hdcps-srq",
-         [](unsigned n) {
-             return std::make_unique<HdCpsScheduler>(
-                 n, HdCpsScheduler::configSrq());
-         }},
-        {"hdcps-sw",
-         [](unsigned n) {
-             return std::make_unique<HdCpsScheduler>(
-                 n, HdCpsScheduler::configSw());
-         }},
-        {"multiqueue",
-         [](unsigned n) {
-             return std::make_unique<MultiQueueScheduler>(n, 2, 5);
-         }},
-        {"multiqueue-s1",
-         [](unsigned n) {
-             // Stickiness 1 with single-op buffers: the classic
-             // fully-random MultiQueue degenerate configuration.
-             MultiQueueConfig config;
-             config.stickiness = 1;
-             config.insertionBufferCap = 1;
-             config.deletionBufferCap = 1;
-             config.seed = 5;
-             return std::make_unique<MultiQueueScheduler>(n, config);
-         }},
-        {"hdcps-mq",
-         [](unsigned n) {
-             return std::make_unique<HdCpsMqScheduler>(
-                 n, HdCpsMqScheduler::configSw());
-         }},
-    };
+    std::vector<std::string> labels = schedulerNames();
+    labels.push_back("multiqueue-s1");
+    return labels;
 }
 
-class SchedulerMatrix : public testing::TestWithParam<size_t>
+class SchedulerMatrix : public testing::TestWithParam<std::string>
 {
   protected:
-    SchedulerCase scase() const { return allSchedulers()[GetParam()]; }
+    std::unique_ptr<Scheduler>
+    make(unsigned workers) const
+    {
+        if (GetParam() != "multiqueue-s1")
+            return makeScheduler(GetParam(), workers);
+        // Stickiness 1 with single-op buffers: the classic
+        // fully-random MultiQueue degenerate configuration.
+        MultiQueueConfig config;
+        config.stickiness = 1;
+        config.insertionBufferCap = 1;
+        config.deletionBufferCap = 1;
+        config.seed = 5;
+        return std::make_unique<MultiQueueScheduler>(workers, config);
+    }
 };
 
 TEST_P(SchedulerMatrix, SingleThreadConservation)
 {
-    auto sched = scase().make(1);
+    auto sched = make(1);
     Rng rng(4);
     constexpr int count = 2000;
     long long pushedSum = 0;
@@ -116,15 +81,15 @@ TEST_P(SchedulerMatrix, SingleThreadConservation)
         poppedSum += static_cast<long long>(t.priority);
         ++popped;
     }
-    EXPECT_EQ(popped, count) << scase().label;
-    EXPECT_EQ(poppedSum, pushedSum) << scase().label;
+    EXPECT_EQ(popped, count) << GetParam();
+    EXPECT_EQ(poppedSum, pushedSum) << GetParam();
 }
 
 TEST_P(SchedulerMatrix, ConcurrentExactlyOnce)
 {
     constexpr unsigned workers = 4;
     constexpr uint32_t perWorker = 4000;
-    auto sched = scase().make(workers);
+    auto sched = make(workers);
 
     std::vector<std::atomic<uint32_t>> seen(workers * perWorker);
     for (auto &s : seen)
@@ -144,7 +109,7 @@ TEST_P(SchedulerMatrix, ConcurrentExactlyOnce)
                 ASSERT_LT(t.node, seen.size());
                 uint32_t prev = seen[t.node].fetch_add(1);
                 ASSERT_EQ(prev, 0u)
-                    << scase().label << ": duplicate pop of " << t.node;
+                    << GetParam() << ": duplicate pop of " << t.node;
                 totalPopped.fetch_add(1);
             } else if (totalPopped.load() >= workers * perWorker) {
                 break;
@@ -160,9 +125,9 @@ TEST_P(SchedulerMatrix, ConcurrentExactlyOnce)
     stopPopping.store(true);
 
     EXPECT_EQ(totalPopped.load(), uint64_t(workers) * perWorker)
-        << scase().label;
+        << GetParam();
     for (size_t i = 0; i < seen.size(); ++i)
-        ASSERT_EQ(seen[i].load(), 1u) << scase().label << " task " << i;
+        ASSERT_EQ(seen[i].load(), 1u) << GetParam() << " task " << i;
 }
 
 TEST_P(SchedulerMatrix, RoughPriorityOrderWhenQuiescent)
@@ -175,30 +140,66 @@ TEST_P(SchedulerMatrix, RoughPriorityOrderWhenQuiescent)
     // first pops can predate the best pushes (timing-dependent — the
     // sanitizer builds shift it). The best priority seen in the first
     // 100 pops must still come from the best bucket region.
-    auto sched = scase().make(1);
+    auto sched = make(1);
     for (uint32_t i = 0; i < 1000; ++i)
         sched->push(0, Task{uint64_t(1000 - i), i, 0});
     Priority bestSeen = ~Priority(0);
     Task t;
     for (int i = 0; i < 100; ++i) {
-        ASSERT_TRUE(sched->tryPop(0, t)) << scase().label;
+        ASSERT_TRUE(sched->tryPop(0, t)) << GetParam();
         if (t.priority < bestSeen)
             bestSeen = t.priority;
     }
-    EXPECT_LT(bestSeen, 200u) << scase().label;
+    EXPECT_LT(bestSeen, 200u) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDesigns, SchedulerMatrix,
-                         testing::Range<size_t>(0, 9),
-                         [](const testing::TestParamInfo<size_t> &info) {
-                             std::string name =
-                                 allSchedulers()[info.param].label;
+                         testing::ValuesIn(matrixDesigns()),
+                         [](const testing::TestParamInfo<std::string> &info) {
+                             std::string name = info.param;
                              for (char &ch : name) {
                                  if (ch == '-')
                                      ch = '_';
                              }
                              return name;
                          });
+
+// ------------------------------------------------ the design registry
+
+TEST(Registry, UnknownNameReturnsNull)
+{
+    EXPECT_EQ(makeScheduler("bogus", 4), nullptr);
+    // Simulator-only designs are not threaded designs.
+    EXPECT_EQ(makeScheduler("hdcps-hw", 4), nullptr);
+}
+
+TEST(Registry, EveryListedNameConstructsAtOneAndFourWorkers)
+{
+    for (const std::string &name : schedulerNames()) {
+        for (unsigned workers : {1u, 4u}) {
+            auto sched = makeScheduler(name, workers);
+            ASSERT_NE(sched, nullptr) << name;
+            EXPECT_EQ(sched->numWorkers(), workers) << name;
+        }
+    }
+}
+
+TEST(Registry, HdCpsDesignsTakeEveryParam)
+{
+    const SchedulerParams params{.seed = 7,
+                                 .topology = Topology::synthetic(2, 2),
+                                 .sampleInterval = 300};
+    for (const char *name : {"hdcps-sw", "hdcps-srq", "hdcps-mq"}) {
+        auto sched = makeScheduler(name, 4, params);
+        auto *sw = dynamic_cast<HdCpsScheduler *>(sched.get());
+        auto *mq = dynamic_cast<HdCpsMqScheduler *>(sched.get());
+        ASSERT_TRUE(sw != nullptr || mq != nullptr) << name;
+        const HdCpsConfig &config = sw ? sw->config() : mq->config();
+        EXPECT_EQ(config.seed, 7u) << name;
+        EXPECT_EQ(config.topology.numNodes(), 2u) << name;
+        EXPECT_EQ(config.sampleInterval, 300u) << name;
+    }
+}
 
 // -------------------------------- swminnow helper-thread attribution
 

@@ -20,6 +20,7 @@
 #include "cps/multiqueue.h"
 #include "cps/verifying_scheduler.h"
 #include "runtime/executor_service.h"
+#include "runtime/poison_drill.h"
 #include "support/fault.h"
 #include "support/straggler.h"
 #include "support/topology.h"
@@ -1033,7 +1034,7 @@ TEST(Service, PoisonedTasksAreDeadLetteredNotFatal)
     std::atomic<uint64_t> processed{0};
     JobSpec spec;
     spec.name = "poisoned-tree";
-    spec.process = treeJob(processed);
+    spec.process = withPoisonDrill(treeJob(processed));
     spec.initial = {Task{0, 0, 7}};
     spec.retry.maxAttempts = 3;
     spec.retry.backoffBaseUs = 5;
@@ -1090,7 +1091,7 @@ TEST(Service, PoisonedTaskFailsJobWithoutDeadLetterPolicy)
     std::atomic<uint64_t> processed{0};
     JobSpec spec;
     spec.name = "no-quarantine";
-    spec.process = treeJob(processed);
+    spec.process = withPoisonDrill(treeJob(processed));
     spec.initial = {Task{0, 0, 4}};
     spec.retry.maxAttempts = 2;
     spec.retry.backoffBaseUs = 5;

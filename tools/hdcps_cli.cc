@@ -30,18 +30,14 @@
 #include <vector>
 
 #include "algos/workload.h"
-#include "core/hdcps.h"
-#include "cps/multiqueue.h"
-#include "cps/obim.h"
-#include "cps/pmod.h"
-#include "cps/reld.h"
-#include "cps/swminnow.h"
+#include "core/registry.h"
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "runtime/executor.h"
 #include "runtime/executor_service.h"
+#include "runtime/poison_drill.h"
 #include "simsched/runner.h"
 #include "stats/table.h"
 #include "support/fault.h"
@@ -356,40 +352,16 @@ loadInput(const Options &options)
 std::unique_ptr<Scheduler>
 makeThreaded(const Options &options, unsigned sampleInterval)
 {
-    const unsigned t = options.threads;
-    if (options.design == "reld")
-        return std::make_unique<ReldScheduler>(t, options.seed);
-    if (options.design == "multiqueue")
-        return std::make_unique<MultiQueueScheduler>(t, 2, options.seed);
-    if (options.design == "obim")
-        return std::make_unique<ObimScheduler>(t);
-    if (options.design == "pmod")
-        return std::make_unique<PmodScheduler>(t);
-    if (options.design == "swminnow")
-        return std::make_unique<SwMinnowScheduler>(t);
-    if (options.design == "hdcps-srq") {
-        HdCpsConfig config = HdCpsScheduler::configSrq();
-        config.sampleInterval = sampleInterval;
-        config.topology = options.topology;
-        return std::make_unique<HdCpsScheduler>(t, config);
+    auto scheduler = makeScheduler(options.design, options.threads,
+                                   {.seed = options.seed,
+                                    .topology = options.topology,
+                                    .sampleInterval = sampleInterval});
+    if (!scheduler) {
+        hdcps_fatal("design '%s' is not available in --mode threads "
+                    "(hardware designs need --mode sim)",
+                    options.design.c_str());
     }
-    if (options.design == "hdcps-sw") {
-        HdCpsConfig config = HdCpsScheduler::configSw();
-        config.sampleInterval = sampleInterval;
-        config.topology = options.topology;
-        return std::make_unique<HdCpsScheduler>(t, config);
-    }
-    if (options.design == "hdcps-mq") {
-        // HD-CPS:SW mechanisms over the relaxed MultiQueue local PQ.
-        HdCpsConfig config = HdCpsMqScheduler::configSw();
-        config.sampleInterval = sampleInterval;
-        config.seed = options.seed;
-        config.topology = options.topology;
-        return std::make_unique<HdCpsMqScheduler>(t, config);
-    }
-    hdcps_fatal("design '%s' is not available in --mode threads "
-                "(hardware designs need --mode sim)",
-                options.design.c_str());
+    return scheduler;
 }
 
 int
@@ -599,7 +571,7 @@ runJobStream(const Options &options, const Graph &graph)
         auto workload = makeWorkload(options.kernel, graph, source);
         JobSpec spec;
         spec.name = options.kernel + "#" + std::to_string(i);
-        spec.process = workloadProcessFn(*workload);
+        spec.process = withPoisonDrill(workloadProcessFn(*workload));
         spec.initial = workload->initialTasks();
         spec.priority = rng.below(8);
         if (options.tenants > 0)
@@ -806,8 +778,10 @@ main(int argc, char **argv)
         for (size_t i = 0; i < count; ++i)
             std::cout << " " << designs[i];
         std::cout << " hdcps-srq hdcps-srq-tdf hdcps-srq-tdf-ac"
-                  << "\nthreaded designs: reld multiqueue obim pmod "
-                     "swminnow hdcps-srq hdcps-sw hdcps-mq\n";
+                  << "\nthreaded designs:";
+        for (const std::string &name : schedulerNames())
+            std::cout << " " << name;
+        std::cout << "\n";
         printFaultCatalog();
         return 0;
     }

@@ -21,6 +21,7 @@
  * the chaos doubles as a data-race and lifetime-bug detector.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cerrno>
@@ -36,17 +37,13 @@
 #include <vector>
 
 #include "algos/workload.h"
-#include "core/hdcps.h"
-#include "cps/multiqueue.h"
-#include "cps/obim.h"
-#include "cps/pmod.h"
-#include "cps/reld.h"
-#include "cps/swminnow.h"
+#include "core/registry.h"
 #include "cps/verifying_scheduler.h"
 #include "graph/generators.h"
 #include "obs/metrics.h"
 #include "runtime/executor.h"
 #include "runtime/executor_service.h"
+#include "runtime/poison_drill.h"
 #include "support/fault.h"
 #include "support/logging.h"
 #include "support/rng.h"
@@ -147,14 +144,11 @@ parseUint(const char *flag, const char *text, uint64_t max)
     return parsed;
 }
 
-const char *const kDesigns[] = {"hdcps-sw",   "hdcps-srq", "hdcps-mq",
-                                "reld",       "multiqueue", "obim",
-                                "pmod",       "swminnow"};
-
-/** Parse a comma-separated --designs list against kDesigns. */
+/** Parse a comma-separated --designs list against the registry. */
 std::vector<std::string>
 parseDesignList(const char *text)
 {
+    const std::vector<std::string> known = schedulerNames();
     std::vector<std::string> out;
     std::string item;
     for (const char *p = text;; ++p) {
@@ -162,15 +156,13 @@ parseDesignList(const char *text)
             item += *p;
             continue;
         }
-        bool known = false;
-        for (const char *design : kDesigns)
-            known = known || item == design;
-        if (!known) {
+        if (std::find(known.begin(), known.end(), item) == known.end()) {
+            std::string want;
+            for (const std::string &name : known)
+                want += (want.empty() ? "" : ", ") + name;
             hdcps_fatal("--designs: unknown design '%s' (want a "
-                        "comma-separated subset of hdcps-sw, hdcps-srq, "
-                        "hdcps-mq, reld, multiqueue, obim, pmod, "
-                        "swminnow)",
-                        item.c_str());
+                        "comma-separated subset of %s)",
+                        item.c_str(), want.c_str());
         }
         out.push_back(item);
         item.clear();
@@ -246,10 +238,8 @@ parseArgs(int argc, char **argv)
                     1.0,
                 "--service-slice + --supervisor-slice + "
                 "--fairness-slice must not exceed 1");
-    if (options.designs.empty()) {
-        options.designs.assign(std::begin(kDesigns),
-                               std::end(kDesigns));
-    }
+    if (options.designs.empty())
+        options.designs = schedulerNames();
     return options;
 }
 
@@ -432,34 +422,6 @@ drawScenario(Rng &rng, uint64_t runSeed, unsigned threads,
     return s;
 }
 
-std::unique_ptr<Scheduler>
-makeDesign(const Scenario &s, unsigned threads,
-           const Topology &topology)
-{
-    if (s.design == "reld")
-        return std::make_unique<ReldScheduler>(threads, s.seed);
-    if (s.design == "multiqueue")
-        return std::make_unique<MultiQueueScheduler>(threads, 2, s.seed);
-    if (s.design == "obim")
-        return std::make_unique<ObimScheduler>(threads);
-    if (s.design == "pmod")
-        return std::make_unique<PmodScheduler>(threads);
-    if (s.design == "swminnow")
-        return std::make_unique<SwMinnowScheduler>(threads);
-    if (s.design == "hdcps-mq") {
-        HdCpsConfig config = HdCpsMqScheduler::configSw();
-        config.seed = s.seed;
-        config.topology = topology;
-        return std::make_unique<HdCpsMqScheduler>(threads, config);
-    }
-    HdCpsConfig config = s.design == "hdcps-srq"
-                             ? HdCpsScheduler::configSrq()
-                             : HdCpsScheduler::configSw();
-    config.seed = s.seed;
-    config.topology = topology;
-    return std::make_unique<HdCpsScheduler>(threads, config);
-}
-
 std::string
 describe(const Scenario &s)
 {
@@ -541,7 +503,8 @@ runScenario(const Scenario &s, const Options &options,
                     error.c_str());
     }
 
-    auto inner = makeDesign(s, options.threads, options.topology);
+    auto inner = makeScheduler(s.design, options.threads,
+                               {.seed = s.seed, .topology = options.topology});
     VerifyingScheduler verified(*inner);
     // Armed single-writer checker: any scheduler/helper thread writing
     // another worker's metric slot mid-write is a conformance failure,
@@ -684,7 +647,8 @@ runServiceScenario(const Scenario &s, const Options &options,
                     error.c_str());
     }
 
-    auto inner = makeDesign(s, options.threads, options.topology);
+    auto inner = makeScheduler(s.design, options.threads,
+                               {.seed = s.seed, .topology = options.topology});
     VerifyingScheduler verified(*inner);
     MetricsRegistry::Config metricsConfig;
     metricsConfig.checkSingleWriter = true;
@@ -878,7 +842,8 @@ runSupervisorScenario(const Scenario &s, const Options &options,
                     error.c_str());
     }
 
-    auto inner = makeDesign(s, options.threads, options.topology);
+    auto inner = makeScheduler(s.design, options.threads,
+                               {.seed = s.seed, .topology = options.topology});
     VerifyingScheduler verified(*inner);
     MetricsRegistry::Config metricsConfig;
     metricsConfig.checkSingleWriter = true;
@@ -920,7 +885,7 @@ runSupervisorScenario(const Scenario &s, const Options &options,
                           std::atomic<uint64_t> &processed) {
             JobSpec spec;
             spec.name = std::move(name);
-            spec.process = treeJob(processed, 3);
+            spec.process = withPoisonDrill(treeJob(processed, 3));
             spec.initial = {Task{0, 0, depth}};
             spec.retry = retry;
             return svc.submit(std::move(spec));
@@ -1034,7 +999,8 @@ runFairnessScenario(const Scenario &s, const Options &options,
                     error.c_str());
     }
 
-    auto inner = makeDesign(s, options.threads, options.topology);
+    auto inner = makeScheduler(s.design, options.threads,
+                               {.seed = s.seed, .topology = options.topology});
     VerifyingScheduler verified(*inner);
     MetricsRegistry::Config metricsConfig;
     metricsConfig.checkSingleWriter = true;
