@@ -29,6 +29,22 @@ SwMinnowScheduler::~SwMinnowScheduler()
 bool
 SwMinnowScheduler::tryPop(unsigned tid, Task &out)
 {
+    // A helper moving a claimed chunk holds tasks that are in neither
+    // the map nor a ring. Report empty only when no move is under way,
+    // so an empty answer is never an artifact of a transfer. (The
+    // helper marks the move before its claim; the map lock or bag
+    // atomics it claims through order that mark before our look.)
+    while (!popOnce(tid, out)) {
+        if (moving_.load(std::memory_order_acquire) == 0)
+            return false;
+        std::this_thread::yield();
+    }
+    return true;
+}
+
+bool
+SwMinnowScheduler::popOnce(unsigned tid, Task &out)
+{
     // Staged work first: this is the decoupling benefit — the worker
     // avoids touching the shared map while its helper keeps up.
     if (staging_[tid]->tryPop(out)) {
@@ -73,9 +89,12 @@ SwMinnowScheduler::minnowLoop(unsigned minnowId)
             if (ring.sizeApprox() > ring.capacity() / 2)
                 continue;
             chunk.clear();
+            moving_.fetch_add(1, std::memory_order_acq_rel);
             size_t got = claimChunk(chunk, minnowConfig_.prefetchChunk);
-            if (got == 0)
+            if (got == 0) {
+                moving_.fetch_sub(1, std::memory_order_release);
                 continue;
+            }
             didWork = true;
             size_t staged = 0;
             for (; staged < chunk.size(); ++staged) {
@@ -95,6 +114,7 @@ SwMinnowScheduler::minnowLoop(unsigned minnowId)
                 for (size_t i = staged; i < chunk.size(); ++i)
                     repushClaimed(chunk[i]);
             }
+            moving_.fetch_sub(1, std::memory_order_release);
         }
         if (!didWork)
             std::this_thread::yield();

@@ -78,11 +78,15 @@ class SwMinnowScheduler : public ObimBase
 
   private:
     void minnowLoop(unsigned minnowId);
+    /** One look at the staging ring, then the map. */
+    bool popOnce(unsigned tid, Task &out);
 
     MinnowConfig minnowConfig_;
     std::vector<std::unique_ptr<SpscRing<Task>>> staging_;
     std::vector<std::thread> minnows_;
     std::atomic<bool> stop_{false};
+    /** Helpers between claiming a chunk and staging or returning it. */
+    std::atomic<unsigned> moving_{0};
     std::atomic<uint64_t> prefetched_{0};
     std::atomic<uint64_t> spilled_{0};
     std::atomic<uint64_t> restaged_{0};

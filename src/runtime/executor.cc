@@ -1,378 +1,35 @@
 #include "runtime/executor.h"
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
-#include <sstream>
-#include <thread>
-
-#include "runtime/worker_common.h"
-#include "support/compiler.h"
+#include "runtime/executor_service.h"
 #include "support/fault.h"
-#include "support/logging.h"
-#include "support/straggler.h"
-#include "support/timer.h"
 
 namespace hdcps {
-
-namespace {
-
-/** Shared state visible to all workers of one run. The distributed
- *  termination counters and the failure latch are the shared
- *  runtime/worker_common.h machinery — the ExecutorService keeps the
- *  same two per *job*. */
-struct RunState
-{
-    Scheduler *sched = nullptr;
-    const ProcessFn *process = nullptr;
-    RunOptions options;
-    TerminationCounters term;
-    DriftTracker drift;
-    DriftSeries series; ///< touched by worker 0 only
-
-    /** Failure latch: stop tells workers to drain out; the first
-     *  error wins (see FailureLatch). */
-    FailureLatch latch;
-
-    /** Per-worker pop counters for the watchdog's progress check —
-     *  padded so the unconditional relaxed increment never contends. */
-    std::vector<Padded<std::atomic<uint64_t>>> pops;
-    /** Monotonic ns of each worker's last successful pop (seeded with
-     *  the run start), written only when the watchdog is armed — lets
-     *  the stall diagnostic name *which* worker went quiet and for how
-     *  long, not just who popped least overall. */
-    std::vector<Padded<std::atomic<uint64_t>>> lastPopNs;
-    uint64_t startNs = 0;
-
-    explicit RunState(unsigned numThreads)
-        : term(numThreads), drift(numThreads), pops(numThreads),
-          lastPopNs(numThreads)
-    {}
-};
-
-uint64_t
-totalPops(const RunState &state)
-{
-    uint64_t total = 0;
-    for (const auto &p : state.pops)
-        total += p.value.load(std::memory_order_relaxed);
-    return total;
-}
-
-/** Everything a human needs to debug a stalled run, as one string. */
-std::string
-stallDiagnostic(const RunState &state)
-{
-    std::ostringstream out;
-    out << "watchdog: no task popped for " << state.options.watchdogMs
-        << " ms with " << state.term.pendingApprox()
-        << " tasks in flight; scheduler '" << state.sched->name()
-        << "' reports ~" << state.sched->sizeApprox()
-        << " buffered tasks (0 = unknown); pops per worker:";
-    const uint64_t now = nowNs();
-    for (size_t tid = 0; tid < state.pops.size(); ++tid) {
-        uint64_t pops =
-            state.pops[tid].value.load(std::memory_order_relaxed);
-        uint64_t last =
-            state.lastPopNs[tid].value.load(std::memory_order_relaxed);
-        uint64_t ageMs = now > last ? (now - last) / 1000000 : 0;
-        out << (tid == 0 ? " " : ", ") << "w" << tid << "=" << pops;
-        if (pops == 0)
-            out << " (no pops, " << ageMs << " ms since start)";
-        else
-            out << " (last pop " << ageMs << " ms ago)";
-    }
-    if (state.options.metrics) {
-        out << "; counters:";
-        MetricsSnapshot snap = state.options.metrics->snapshot();
-        bool first = true;
-        for (const auto &counter : snap.counters) {
-            if (counter.total == 0)
-                continue;
-            out << (first ? " " : ", ") << counter.name << "="
-                << counter.total;
-            first = false;
-        }
-        if (first)
-            out << " (all zero)";
-    }
-    return out.str();
-}
-
-/**
- * Monitor loop for the opt-in progress watchdog. Sleeps on `cv` in
- * window-sized slices; a window with pending work but an unchanged
- * global pop count is a stall, which fails the run. The cv (rather
- * than a plain sleep) lets run() retire the watchdog immediately once
- * the workers are done.
- */
-void
-watchdogLoop(RunState &state, std::mutex &mutex,
-             std::condition_variable &cv, const bool &done)
-{
-    const auto window = std::chrono::milliseconds(state.options.watchdogMs);
-    uint64_t lastPops = totalPops(state);
-    std::unique_lock<std::mutex> lock(mutex);
-    while (!done) {
-        if (cv.wait_for(lock, window, [&done] { return done; }))
-            return;
-        if (state.latch.stopRequested())
-            return;
-        uint64_t pops = totalPops(state);
-        bool stalled = pops == lastPops && state.term.pendingApprox() > 0;
-        if (stalled) {
-            state.latch.fail(stallDiagnostic(state));
-            return;
-        }
-        lastPops = pops;
-    }
-}
-
-void
-workerLoop(RunState &state, unsigned tid, Breakdown &breakdown)
-{
-    Scheduler &sched = *state.sched;
-    const ProcessFn &process = *state.process;
-    const bool timed = state.options.recordBreakdown;
-    MetricsRegistry *metrics = state.options.metrics;
-    std::vector<Task> children;
-    children.reserve(64);
-    IdleBackoff backoff;
-    uint64_t popsSinceSample = 0;
-
-    while (true) {
-        // Drain out as soon as any worker (or the watchdog) failed the
-        // run — checked every iteration, so an idling worker reacts
-        // within one backoff round rather than spinning until its own
-        // pending==0 view changes.
-        if (state.latch.stopRequested())
-            break;
-
-        // Straggler drill: with an injector installed, this worker may
-        // cooperatively sleep here — the only blocking point in the
-        // loop, placed before the pop so a paused worker looks exactly
-        // like a descheduled one (stale heartbeat, stranded queues).
-        stragglerPausePoint(tid);
-
-        uint64_t t0 = timed ? nowNs() : 0;
-        Task task;
-        // Fault drill: the pop itself misfires. The task stays queued,
-        // so the worker simply takes one idle round.
-        bool got = !faultFires(faultsite::ExecPopFail) &&
-                   sched.tryPop(tid, task);
-        uint64_t t1 = timed ? nowNs() : 0;
-
-        if (!got) {
-            if (timed)
-                breakdown[Component::Comm] += t1 - t0;
-            if (state.term.quiescent())
-                break;
-            backoff.idle();
-            continue;
-        }
-        backoff.reset();
-        state.pops[tid].value.fetch_add(1, std::memory_order_relaxed);
-        if (state.options.watchdogMs > 0) {
-            state.lastPopNs[tid].value.store(timed ? t1 : nowNs(),
-                                             std::memory_order_relaxed);
-        }
-
-        children.clear();
-        try {
-            // Fault drill: stand-in for a ProcessFn that throws.
-            if (faultFires(faultsite::ExecProcessThrow)) {
-                throw FaultInjectedError(
-                    "injected ProcessFn failure (exec.process.throw)");
-            }
-            process(tid, task, children);
-        } catch (const std::exception &e) {
-            // The popped task dies here: no children were pushed (the
-            // push happens below), so completing it with no creations
-            // keeps the counters consistent for the drain.
-            state.term.noteCompleted(tid);
-            state.latch.fail("worker " + std::to_string(tid) +
-                             ": ProcessFn threw: " + e.what());
-            break;
-        } catch (...) {
-            state.term.noteCompleted(tid);
-            state.latch.fail("worker " + std::to_string(tid) +
-                             ": ProcessFn threw a non-std exception");
-            break;
-        }
-        uint64_t t2 = timed ? nowNs() : 0;
-
-        if (!children.empty()) {
-            // Children enter the created count *before* they become
-            // poppable, so the counters can never transiently read
-            // quiescent while work exists. Own padded slot: no
-            // contention no matter how many workers spawn at once.
-            state.term.noteCreated(tid, children.size());
-            sched.pushBatch(tid, children.data(), children.size());
-        }
-        state.term.noteCompleted(tid);
-        uint64_t t3 = timed ? nowNs() : 0;
-
-        if (timed) {
-            breakdown[Component::Dequeue] += t1 - t0;
-            breakdown[Component::Compute] += t2 - t1;
-            breakdown[Component::Enqueue] += t3 - t2;
-        }
-        ++breakdown.tasksProcessed;
-        if (children.empty())
-            ++breakdown.emptyTasks;
-
-        // Design-independent drift reporting (Eq. 1): publish every
-        // pop, sample on worker 0's interval.
-        state.drift.publish(tid, task.priority);
-        if (++popsSinceSample >= state.options.driftSampleInterval) {
-            popsSinceSample = 0;
-            if (tid == 0) {
-                double drift = state.drift.computeDrift();
-                state.series.record(drift);
-                if (metrics) {
-                    metrics->recordGlobal(GlobalSeries::Drift, drift);
-                    metrics->set(
-                        0, WorkerGauge::PendingTasks,
-                        static_cast<double>(state.term.pendingApprox()));
-                }
-            }
-            if (metrics && timed) {
-                // Cumulative per-phase breakdown as a series: the
-                // deltas between samples localize where time went
-                // within the run, which the end-of-run totals cannot.
-                metrics->record(
-                    tid, WorkerSeries::EnqueueNs,
-                    static_cast<double>(breakdown[Component::Enqueue]));
-                metrics->record(
-                    tid, WorkerSeries::DequeueNs,
-                    static_cast<double>(breakdown[Component::Dequeue]));
-                metrics->record(
-                    tid, WorkerSeries::ComputeNs,
-                    static_cast<double>(breakdown[Component::Compute]));
-                metrics->record(
-                    tid, WorkerSeries::CommNs,
-                    static_cast<double>(breakdown[Component::Comm]));
-            }
-        }
-    }
-
-    if (metrics) {
-        // Per-worker totals land once, at loop exit — the hot path
-        // itself stays metrics-free.
-        metrics->add(tid, WorkerCounter::TasksProcessed,
-                     breakdown.tasksProcessed);
-        metrics->add(tid, WorkerCounter::EmptyTasks,
-                     breakdown.emptyTasks);
-    }
-}
-
-} // namespace
 
 RunResult
 run(Scheduler &sched, const std::vector<Task> &initial,
     const ProcessFn &process, const RunOptions &options)
 {
-    hdcps_check(options.numThreads >= 1, "need at least one thread");
-    hdcps_check(options.numThreads == sched.numWorkers(),
-                "thread count (%u) != scheduler workers (%u)",
-                options.numThreads, sched.numWorkers());
-    hdcps_check(options.driftSampleInterval >= 1,
-                "drift sample interval must be >= 1");
-    if (options.metrics) {
-        hdcps_check(options.metrics->numWorkers() >= options.numThreads,
-                    "metrics registry has %u workers, need %u",
-                    options.metrics->numWorkers(), options.numThreads);
-        sched.attachMetrics(options.metrics);
-    }
-    // Unconditional: RunOptions is authoritative, so a scheduler reused
-    // across runs cannot carry a stale window into a run that wants the
-    // default (off).
-    sched.setReclaimAfterMs(options.reclaimAfterMs);
+    ServiceOptions serviceOptions;
+    static_cast<RunOptions &>(serviceOptions) = options;
+    ExecutorService service(sched, serviceOptions);
 
-    RunState state(options.numThreads);
-    state.sched = &sched;
-    state.process = &process;
-    state.options = options;
-    // Seeds count as created by worker 0 (single-threaded phase; the
-    // thread spawns below publish the stores to every worker).
-    state.term.seedCreated(0, initial.size());
-    state.startNs = nowNs();
-    for (auto &slot : state.lastPopNs)
-        slot.value.store(state.startNs, std::memory_order_relaxed);
-
-    // Seed tasks in 16-task chunks interleaved across workers before
-    // any worker starts (single-threaded phase, so per-worker push is
-    // safe): chunks keep the initial list's spatial locality, the
-    // interleave spreads skewed regions.
-    constexpr size_t seed_chunk = 16;
-    for (size_t i = 0; i < initial.size(); ++i) {
-        sched.push(static_cast<unsigned>((i / seed_chunk) %
-                                         options.numThreads),
-                   initial[i]);
-    }
-
-    RunResult result;
-    result.perWorker.assign(options.numThreads, Breakdown{});
-
-    // The watchdog rides alongside the workers; `done` + cv retire it
-    // the moment they all exit, failed run or not.
-    std::mutex watchdogMutex;
-    std::condition_variable watchdogCv;
-    bool watchdogDone = false;
-    std::thread watchdog;
-    if (options.watchdogMs > 0) {
-        watchdog = std::thread([&] {
-            watchdogLoop(state, watchdogMutex, watchdogCv, watchdogDone);
-        });
-    }
-
-    uint64_t startNs = nowNs();
-    if (options.numThreads == 1) {
-        workerLoop(state, 0, result.perWorker[0]);
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(options.numThreads);
-        for (unsigned tid = 0; tid < options.numThreads; ++tid) {
-            threads.emplace_back([&state, &result, tid] {
-                // Lifecycle hook from the worker's own thread before
-                // its first pop (topology-aware designs pin here). The
-                // single-threaded path above skips it on purpose: that
-                // runs on the caller's thread, which must not end up
-                // permanently pinned.
-                state.sched->onWorkerStart(tid);
-                workerLoop(state, tid, result.perWorker[tid]);
-            });
+    JobSpec spec;
+    spec.name = "run";
+    spec.initial = initial;
+    spec.process = [&process](unsigned tid, const Task &task,
+                              std::vector<Task> &children) {
+        // Fault drill: stand-in for a ProcessFn that throws.
+        if (faultFires(faultsite::ExecProcessThrow)) {
+            throw FaultInjectedError(
+                "injected ProcessFn failure (exec.process.throw)");
         }
-        for (auto &t : threads)
-            t.join();
-    }
-    result.wallNs = nowNs() - startNs;
-
-    if (watchdog.joinable()) {
-        {
-            std::lock_guard<std::mutex> lock(watchdogMutex);
-            watchdogDone = true;
-        }
-        watchdogCv.notify_all();
-        watchdog.join();
-    }
-
-    result.failed = state.latch.failed();
-    if (result.failed) {
-        result.error = state.latch.error();
-    } else {
-        hdcps_check(state.term.pendingApprox() == 0,
-                    "pending count nonzero after termination");
-    }
-
-    for (const Breakdown &b : result.perWorker)
-        result.total += b;
-    result.avgDrift = state.series.average();
-    result.maxDrift = state.series.maxSample();
-    result.driftSamples = state.series.samples();
-    return result;
+        process(tid, task, children);
+    };
+    JobHandle job = service.submit(std::move(spec));
+    // Shutting down right away runs the job to its end, and the workers
+    // leave as soon as it is done instead of going to sleep first.
+    service.shutdown();
+    return job.report();
 }
 
 } // namespace hdcps

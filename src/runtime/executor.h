@@ -1,36 +1,17 @@
 /**
  * @file
- * The threaded execution engine: drives any Scheduler with any
- * task-processing function on real host threads.
+ * The one-shot entry point of the threaded runtime: run one workload to
+ * completion over any Scheduler on real host threads.
  *
- * Responsibilities:
- *  - spawn workers and run the pop/process/push loop;
- *  - distributed termination detection: each worker counts tasks it
- *    created and tasks it completed in its own cache-line-padded
- *    counters (a task counts as created before it is poppable and as
- *    completed only after its children were pushed), and an idle
- *    worker declares the run done when a completed-first scan of all
- *    counters balances twice in a row — no global in-flight counter on
- *    the per-task hot path (see quiescentOnce in executor.cc for the
- *    soundness argument, DESIGN.md §11 for the full write-up);
- *  - per-worker completion-time breakdown (enqueue/dequeue/compute/
- *    comm, Section IV-C of the paper);
- *  - design-independent priority-drift reporting (Eq. 1), sampled by
- *    worker 0 every driftSampleInterval of its own pops. This is the
- *    metric Figure 3/5 plot for *every* CPS design, separate from the
- *    HD-CPS-internal tracker that feeds the TDF heuristic;
- *  - graceful failure: a ProcessFn that throws fails the run instead of
- *    terminating the process — the first error is latched into the
- *    RunResult, every worker drains out via a stop flag, and all
- *    threads are joined before run() returns;
- *  - an opt-in progress watchdog (RunOptions::watchdogMs) that fails a
- *    run stuck with in-flight tasks but no pops, attaching a
- *    diagnostic dump (per-worker pop counts *and* last-pop ages)
- *    instead of hanging forever;
- *  - straggler hooks: each worker passes a cooperative pause point
- *    (support/straggler.h) every loop iteration so tests can stall
- *    chosen workers deterministically, and RunOptions::reclaimAfterMs
- *    arms scheduler-side reclamation of a stalled worker's queues.
+ * run() is the smallest case of the long-lived ExecutorService
+ * (runtime/executor_service.h): it builds a service on the caller's
+ * scheduler, submits the workload as one job, shuts the service down
+ * (which runs the job to its end) and reports the job. The worker loop, the distributed
+ * termination detection (DESIGN.md §11), the per-worker breakdown, the
+ * Eq. 1 drift sampling, the progress watchdog and the failure latch
+ * are therefore the service's, and this header only declares the
+ * options both share (ServiceOptions derives from RunOptions) and the
+ * result a one-shot caller reads.
  */
 
 #ifndef HDCPS_RUNTIME_EXECUTOR_H_
@@ -40,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "core/drift.h"
 #include "cps/scheduler.h"
 #include "obs/metrics.h"
 #include "stats/breakdown.h"
@@ -55,35 +35,43 @@ using ProcessFn =
     std::function<void(unsigned tid, const Task &task,
                        std::vector<Task> &children)>;
 
-/** Executor tunables. */
+/** Options of the threaded runtime, shared by run() and the
+ *  ExecutorService (ServiceOptions derives from this). */
 struct RunOptions
 {
     unsigned numThreads = 1;
-    unsigned driftSampleInterval = 2000; ///< pops between Eq.1 samples
-    bool recordBreakdown = true;         ///< per-op timing on/off
+    /** Worker 0's pops between Eq. 1 drift samples of its current job
+     *  (and between the metrics series samples below). */
+    unsigned driftSampleInterval = 2000;
+    /** Per-task enqueue/dequeue/compute/comm timing into each job's
+     *  per-worker Breakdown. Off by default: it reads the clock four
+     *  times per task. Task counts are kept either way. */
+    bool recordBreakdown = false;
     /**
-     * Progress watchdog window in milliseconds; 0 disables it. When
-     * enabled, a monitor thread checks every window: if tasks are still
-     * in flight but no worker popped anything for a full window, the
-     * run is failed with a diagnostic dump (per-worker pop counts,
-     * scheduler occupancy, metrics totals) instead of hanging.
+     * Progress watchdog window in milliseconds; 0 disables it. The
+     * service's deadline monitor checks it every millisecond: when
+     * live jobs have tasks in flight but no worker popped anything for
+     * a full window, every live job is failed with a diagnostic dump
+     * (scheduler occupancy, per-worker pop counts and last-pop ages,
+     * metrics totals) instead of hanging.
      */
     uint64_t watchdogMs = 0;
     /**
      * Straggler-reclamation window in milliseconds; 0 disables it.
      * Forwarded to Scheduler::setReclaimAfterMs before workers start
-     * (always — the RunOptions value is authoritative), so designs with
+     * (always — this value is authoritative), so designs with
      * per-worker buffers let idle peers drain a worker whose heartbeat
      * has been stale for longer than this window. Designs without such
      * buffers ignore the knob.
      */
     uint64_t reclaimAfterMs = 0;
     /**
-     * Optional observability sink. When set, run() attaches it to the
-     * scheduler and records time series on the drift sampling cadence:
-     * the Eq. 1 drift signal (worker 0), each worker's cumulative
-     * per-phase breakdown, and the in-flight task gauge. The registry
-     * must have at least numThreads workers and outlive run().
+     * Optional observability sink, attached to the scheduler. Workers
+     * add their task totals to their own slots and, on the drift
+     * sampling cadence, record the Eq. 1 drift signal and the pending
+     * task gauge (worker 0) and their cumulative per-phase breakdown
+     * (with recordBreakdown). The registry must have at least
+     * numThreads workers and outlive the run or service.
      */
     MetricsRegistry *metrics = nullptr;
 };
@@ -98,11 +86,12 @@ struct RunResult
     double maxDrift = 0.0;
     uint64_t driftSamples = 0;
     /**
-     * Failure latch. When a ProcessFn throws or the watchdog detects a
-     * stall, the run drains out early: failed flips true, error holds
-     * the *first* failure's message, and the remaining counters reflect
-     * only the work done before the stop. On a failed run tasks may be
-     * left unprocessed — callers must not trust partial results.
+     * Failure verdict. When a ProcessFn throws or the watchdog detects
+     * a stall, the run's remaining tasks are discarded: failed flips
+     * true, error holds the *first* failure's message, and the counters
+     * reflect only the work done before it. After a watchdog stall
+     * tasks may be left in the scheduler — callers must not trust
+     * partial results.
      */
     bool failed = false;
     std::string error;
@@ -112,8 +101,9 @@ struct RunResult
 
 /**
  * Run `process` over `initial` and everything it spawns, scheduling
- * through `sched`. Blocks until all tasks are done and workers joined.
- * Never terminates the process on a ProcessFn exception — inspect
+ * through `sched`, as one job of a single-use ExecutorService. Blocks
+ * until the job is terminal and every worker is joined. Never
+ * terminates the process on a ProcessFn exception — inspect
  * RunResult::ok() / error instead.
  */
 RunResult run(Scheduler &sched, const std::vector<Task> &initial,

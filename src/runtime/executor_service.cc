@@ -4,6 +4,7 @@
 #include <chrono>
 #include <sstream>
 
+#include "core/drift.h"
 #include "support/fault.h"
 #include "support/logging.h"
 #include "support/rng.h"
@@ -23,7 +24,7 @@ namespace detail {
 struct JobRecord
 {
     JobRecord(unsigned numSlots, ExecutorService *owner)
-        : term(numSlots), svc(owner)
+        : term(numSlots), tallies(numSlots), drift(numSlots), svc(owner)
     {}
 
     JobId id = 0;
@@ -63,9 +64,23 @@ struct JobRecord
      */
     std::atomic<JobState> verdict{JobState::Completed};
 
-    /** Per-job conservation ledger + quiescence scan — the executor's
-     *  run-level termination counters, one instance per tenant. */
+    /** Per-job conservation ledger + quiescence scan. */
     TerminationCounters term;
+
+    /** One worker's share of the job for JobHandle::report(): added
+     *  by the worker when it leaves the job, runs dry or exits. */
+    struct Tally
+    {
+        std::atomic<uint64_t> time[numComponents];
+        std::atomic<uint64_t> tasksProcessed;
+        std::atomic<uint64_t> emptyTasks;
+    };
+    std::vector<Padded<Tally>> tallies;
+    /** Design-independent Eq. 1 drift over this job's tasks: every
+     *  worker publishes each processed priority, worker 0 samples. */
+    DriftTracker drift;
+    mutable std::mutex driftMutex; ///< guards driftSeries
+    DriftSeries driftSeries;
     /** Per-job drain latch: stopRequested() is the worker-visible
      *  "discard this job's tasks" signal. */
     FailureLatch latch;
@@ -91,6 +106,62 @@ struct JobRecord
 
 using detail::JobRecord;
 
+/**
+ * One worker thread's private loop state. Nothing here is shared: the
+ * counts reach the job (and the tenant, and the metrics slot) in
+ * batches, when the worker switches jobs, runs dry or exits.
+ */
+struct ExecutorService::Worker
+{
+    explicit Worker(unsigned slot) : tid(slot) { children.reserve(64); }
+
+    /** Add the counts and timing gathered since the last report to
+     *  the current job's tally for this slot (and its metrics slot). */
+    void
+    reportTallies(MetricsRegistry *metrics)
+    {
+        JobRecord::Tally &tally = job->tallies[tid].value;
+        auto add = [](std::atomic<uint64_t> &to, uint64_t n) {
+            if (n != 0)
+                to.fetch_add(n, std::memory_order_relaxed);
+        };
+        for (unsigned c = 0; c < numComponents; ++c)
+            add(tally.time[c], seen.time[c] - reported.time[c]);
+        uint64_t tasks = seen.tasksProcessed - reported.tasksProcessed;
+        uint64_t empty = seen.emptyTasks - reported.emptyTasks;
+        add(tally.tasksProcessed, tasks);
+        add(tally.emptyTasks, empty);
+        if (metrics && tasks != 0) {
+            metrics->add(tid, WorkerCounter::TasksProcessed, tasks);
+            metrics->add(tid, WorkerCounter::EmptyTasks, empty);
+        }
+        reported = seen;
+    }
+
+    /** Add the batched per-tenant task count to the tenant. */
+    void
+    flushTenant()
+    {
+        if (tenantTasks == 0)
+            return;
+        tenant->tasksProcessed.fetch_add(tenantTasks,
+                                         std::memory_order_relaxed);
+        tenantTasks = 0;
+    }
+
+    const unsigned tid;
+    RecordPtr job; ///< job of the last popped task
+    /** Completed a task of `job` since this worker last checked the
+     *  job for completion. */
+    bool unchecked = false;
+    TenantState *tenant = nullptr; ///< owner of tenantTasks
+    uint64_t tenantTasks = 0;
+    Breakdown seen;     ///< this thread's cumulative counts and timing
+    Breakdown reported; ///< the part of `seen` already in a tally
+    uint64_t popsSinceSample = 0;
+    std::vector<Task> children;
+};
+
 const char *
 jobStateName(JobState s)
 {
@@ -114,32 +185,35 @@ rejectReasonName(RejectReason r)
 
 // --- JobHandle ---------------------------------------------------------
 
+JobRecord &
+JobHandle::rec() const
+{
+    hdcps_check(record_ != nullptr, "invalid JobHandle");
+    return *record_;
+}
+
 JobId
 JobHandle::id() const
 {
-    hdcps_check(record_ != nullptr, "invalid JobHandle");
-    return record_->id;
+    return rec().id;
 }
 
 const std::string &
 JobHandle::name() const
 {
-    hdcps_check(record_ != nullptr, "invalid JobHandle");
-    return record_->name;
+    return rec().name;
 }
 
 JobState
 JobHandle::state() const
 {
-    hdcps_check(record_ != nullptr, "invalid JobHandle");
-    return record_->state.load(std::memory_order_acquire);
+    return rec().state.load(std::memory_order_acquire);
 }
 
 std::string
 JobHandle::error() const
 {
-    hdcps_check(record_ != nullptr, "invalid JobHandle");
-    JobState s = record_->state.load(std::memory_order_acquire);
+    JobState s = state();
     if (s != JobState::Failed && s != JobState::Cancelled &&
         s != JobState::Rejected)
         return std::string();
@@ -150,8 +224,7 @@ JobHandle::error() const
 bool
 JobHandle::cancel()
 {
-    hdcps_check(record_ != nullptr, "invalid JobHandle");
-    if (jobStateTerminal(record_->state.load(std::memory_order_acquire)))
+    if (done())
         return false;
     // Non-terminal implies the service is still alive (shutdown only
     // returns once every admitted job is terminal), so svc is valid.
@@ -164,8 +237,7 @@ JobHandle::cancel()
 JobState
 JobHandle::wait()
 {
-    hdcps_check(record_ != nullptr, "invalid JobHandle");
-    JobRecord &r = *record_;
+    JobRecord &r = rec();
     std::unique_lock<std::mutex> lock(r.waitMutex);
     r.waitCv.wait(lock, [&r] {
         return jobStateTerminal(r.state.load(std::memory_order_acquire));
@@ -176,8 +248,7 @@ JobHandle::wait()
 bool
 JobHandle::waitFor(uint64_t ms, JobState *out)
 {
-    hdcps_check(record_ != nullptr, "invalid JobHandle");
-    JobRecord &r = *record_;
+    JobRecord &r = rec();
     std::unique_lock<std::mutex> lock(r.waitMutex);
     bool done = r.waitCv.wait_for(
         lock, std::chrono::milliseconds(ms), [&r] {
@@ -192,22 +263,19 @@ JobHandle::waitFor(uint64_t ms, JobState *out)
 RejectReason
 JobHandle::rejectReason() const
 {
-    hdcps_check(record_ != nullptr, "invalid JobHandle");
-    return record_->rejectReason.load(std::memory_order_acquire);
+    return rec().rejectReason.load(std::memory_order_acquire);
 }
 
 TenantId
 JobHandle::tenant() const
 {
-    hdcps_check(record_ != nullptr, "invalid JobHandle");
-    return record_->tenant;
+    return rec().tenant;
 }
 
 bool
 JobHandle::deprioritize()
 {
-    hdcps_check(record_ != nullptr, "invalid JobHandle");
-    if (jobStateTerminal(record_->state.load(std::memory_order_acquire)))
+    if (done())
         return false;
     uint32_t level =
         record_->demoteLevel.load(std::memory_order_acquire);
@@ -223,37 +291,60 @@ JobHandle::deprioritize()
 uint32_t
 JobHandle::demoteLevel() const
 {
-    hdcps_check(record_ != nullptr, "invalid JobHandle");
-    return record_->demoteLevel.load(std::memory_order_acquire);
+    return rec().demoteLevel.load(std::memory_order_acquire);
 }
 
 double
 JobHandle::latencyMs() const
 {
-    hdcps_check(record_ != nullptr, "invalid JobHandle");
-    return record_->latencyMs.load(std::memory_order_acquire);
+    return rec().latencyMs.load(std::memory_order_acquire);
 }
 
 uint64_t
 JobHandle::tasksCompleted() const
 {
-    hdcps_check(record_ != nullptr, "invalid JobHandle");
-    return record_->term.completedTotal();
+    return rec().term.completedTotal();
 }
 
 uint64_t
 JobHandle::poisonedTasks() const
 {
-    hdcps_check(record_ != nullptr, "invalid JobHandle");
-    return record_->poisoned.load(std::memory_order_acquire);
+    return rec().poisoned.load(std::memory_order_acquire);
 }
 
 std::vector<Task>
 JobHandle::deadLetters() const
 {
-    hdcps_check(record_ != nullptr, "invalid JobHandle");
-    std::lock_guard<std::mutex> lock(record_->poisonMutex);
+    std::lock_guard<std::mutex> lock(rec().poisonMutex);
     return record_->deadLetters;
+}
+
+RunResult
+JobHandle::report() const
+{
+    const JobRecord &r = rec();
+    RunResult out;
+    out.perWorker.resize(r.tallies.size());
+    for (size_t tid = 0; tid < r.tallies.size(); ++tid) {
+        const JobRecord::Tally &tally = r.tallies[tid].value;
+        Breakdown &b = out.perWorker[tid];
+        for (unsigned c = 0; c < numComponents; ++c)
+            b.time[c] = tally.time[c].load(std::memory_order_relaxed);
+        b.tasksProcessed =
+            tally.tasksProcessed.load(std::memory_order_relaxed);
+        b.emptyTasks = tally.emptyTasks.load(std::memory_order_relaxed);
+        out.total += b;
+    }
+    {
+        std::lock_guard<std::mutex> lock(r.driftMutex);
+        out.avgDrift = r.driftSeries.average();
+        out.maxDrift = r.driftSeries.maxSample();
+        out.driftSamples = r.driftSeries.samples();
+    }
+    out.wallNs = uint64_t(latencyMs() * 1e6);
+    out.error = error(); // non-empty exactly for failed verdicts
+    out.failed = !out.error.empty();
+    return out;
 }
 
 // --- ExecutorService ---------------------------------------------------
@@ -268,13 +359,22 @@ ExecutorService::ExecutorService(Scheduler &sched,
                 options.numThreads, sched.numWorkers());
     hdcps_check(options.admissionCapacity >= 1,
                 "admission capacity must be >= 1");
+    hdcps_check(options.driftSampleInterval >= 1,
+                "drift sample interval must be >= 1");
     if (options.metrics) {
         hdcps_check(options.metrics->numWorkers() >= options.numThreads,
                     "metrics registry has %u workers, need %u",
                     options.metrics->numWorkers(), options.numThreads);
         sched.attachMetrics(options.metrics);
     }
+    // Unconditional: the options are authoritative, so a scheduler
+    // reused across services cannot carry a stale window into one that
+    // wants the default (off).
     sched.setReclaimAfterMs(options.reclaimAfterMs);
+
+    pops_ = std::vector<Padded<std::atomic<uint64_t>>>(options.numThreads);
+    lastPopNs_ =
+        std::vector<Padded<std::atomic<uint64_t>>>(options.numThreads);
 
     // Materialize configured tenants up front so quotas and weights
     // apply from the very first submit; tenants first seen at submit
@@ -294,17 +394,23 @@ ExecutorService::ExecutorService(Scheduler &sched,
     if (options_.supervisor.enabled) {
         supervisor_ = std::make_unique<WorkerSupervisor>(
             options_.numThreads, options_.supervisor);
-        // Arm every slot's heartbeat before the threads exist so a
-        // slow spawn can't read as a wedge.
-        uint64_t now = nowNs();
-        for (unsigned tid = 0; tid < options_.numThreads; ++tid)
-            supervisor_->beat(tid, now);
     }
+}
 
-    workers_.reserve(options.numThreads);
-    for (unsigned tid = 0; tid < options.numThreads; ++tid)
+void
+ExecutorService::startPool()
+{
+    const uint64_t now = nowNs();
+    // Arm every slot's heartbeat before the threads exist so a slow
+    // spawn can't read as a wedge; pop ages count from here.
+    for (unsigned tid = 0; tid < options_.numThreads; ++tid) {
+        if (supervisor_)
+            supervisor_->beat(tid, now);
+        lastPopNs_[tid].value.store(now, std::memory_order_relaxed);
+    }
+    workers_.reserve(options_.numThreads);
+    for (unsigned tid = 0; tid < options_.numThreads; ++tid)
         workers_.emplace_back([this, tid] { workerEntry(tid); });
-    deadlineMonitor_ = std::thread([this] { deadlineLoop(); });
     if (supervisor_)
         supervisorThread_ = std::thread([this] { supervisorLoop(); });
 }
@@ -439,6 +545,9 @@ ExecutorService::submit(JobSpec spec)
                             std::max(vtime_, ts.virtualFinish);
                     ++queuedJobs_;
                     ts.admitted++;
+                    // Counted under admitMutex_, where idle workers
+                    // check it before sleeping: no lost wakeup.
+                    activeJobs_.fetch_add(1, std::memory_order_acq_rel);
                     admittedNow = true;
                 } else {
                     reason = escalated_.load(std::memory_order_acquire)
@@ -482,8 +591,17 @@ ExecutorService::submit(JobSpec spec)
     }
 
     admitted_.fetch_add(1, std::memory_order_relaxed);
-    activeJobs_.fetch_add(1, std::memory_order_acq_rel);
-    work_.notify_one();
+    // Threads start with the first job that needs them. A one-job
+    // service (run()) thus queues its job before any worker exists, and
+    // the first worker to start adopts it without a wakeup.
+    if (record->deadlineNs != 0 || record->demoteAfterNs != 0 ||
+        options_.watchdogMs > 0 || options_.metrics) {
+        std::call_once(monitorStarted_, [this] {
+            deadlineMonitor_ = std::thread([this] { deadlineLoop(); });
+        });
+    }
+    std::call_once(poolStarted_, [this] { startPool(); });
+    work_.notify_one(); // an adopter; seeding wakes the rest
     return JobHandle(record);
 }
 
@@ -500,32 +618,26 @@ ExecutorService::tenantStateLocked(TenantId id)
     return *it->second;
 }
 
-void
-ExecutorService::noteTasksCreated(Record &record, unsigned tid,
-                                  uint64_t n)
+uint64_t
+ExecutorService::inFlightTasksLocked(const TenantState *tenant) const
 {
-    record.term.noteCreated(tid, n);
-    inFlightTasks_.fetch_add(n, std::memory_order_relaxed);
-    if (record.tenantState) {
-        record.tenantState->inFlightTasks.fetch_add(
-            n, std::memory_order_relaxed);
+    uint64_t total = 0;
+    std::shared_lock<std::shared_mutex> lock(jobsMutex_);
+    for (const auto &[id, record] : jobs_) {
+        if ((tenant == nullptr || record->tenantState == tenant) &&
+            !jobStateTerminal(record->state.load(std::memory_order_acquire)))
+            total += record->term.pendingApprox();
     }
-}
-
-void
-ExecutorService::noteTaskCompleted(Record &record, unsigned tid)
-{
-    record.term.noteCompleted(tid);
-    inFlightTasks_.fetch_sub(1, std::memory_order_relaxed);
-    if (record.tenantState) {
-        record.tenantState->inFlightTasks.fetch_sub(
-            1, std::memory_order_relaxed);
-    }
+    return total;
 }
 
 bool
 ExecutorService::adoptOne(unsigned tid)
 {
+    // Every worker asks at every loop top, so the common "nothing
+    // queued" answer must not take the lock.
+    if (queuedJobs_.load(std::memory_order_acquire) == 0)
+        return false;
     RecordPtr record;
     {
         std::lock_guard<std::mutex> lock(admitMutex_);
@@ -536,8 +648,7 @@ ExecutorService::adoptOne(unsigned tid)
         // share. (A dispatched job may overshoot the budget with its
         // whole seed batch; the gate only delays *further* jobs.)
         if (options_.maxInFlightTasks != 0 &&
-            inFlightTasks_.load(std::memory_order_acquire) >=
-                options_.maxInFlightTasks)
+            inFlightTasksLocked(nullptr) >= options_.maxInFlightTasks)
             return false;
         // Start-time fair queueing: each backlogged, quota-eligible
         // tenant bids with its FROZEN head start tag (stamped when the
@@ -567,8 +678,7 @@ ExecutorService::adoptOne(unsigned tid)
             if (ts.backlog.empty())
                 continue;
             if (ts.quota.maxInFlightTasks != 0 &&
-                ts.inFlightTasks.load(std::memory_order_relaxed) >=
-                    ts.quota.maxInFlightTasks)
+                inFlightTasksLocked(&ts) >= ts.quota.maxInFlightTasks)
                 continue;
             // Head cost is read live (a higher-priority job may have
             // displaced the head since promotion); the start tag is
@@ -627,16 +737,19 @@ ExecutorService::adoptOne(unsigned tid)
             t.priority += Priority(level) * record->demotePenalty;
         }
     }
-    if (!seeds.empty()) {
-        noteTasksCreated(*record, tid, seeds.size());
-        constexpr size_t chunk = 256;
-        for (size_t i = 0; i < seeds.size(); i += chunk) {
-            size_t n = std::min(chunk, seeds.size() - i);
-            sched_.pushBatch(tid, seeds.data() + i, n);
-        }
+    if (seeds.empty()) {
+        // A job admitted with zero seed tasks is already quiescent, and
+        // no worker will pop a task of it to check.
+        maybeFinishJob(record);
+        return true;
     }
-    // A job admitted with zero seed tasks is already quiescent.
-    maybeFinishJob(record);
+    record->term.noteCreated(tid, seeds.size());
+    constexpr size_t chunk = 256;
+    for (size_t i = 0; i < seeds.size(); i += chunk) {
+        size_t n = std::min(chunk, seeds.size() - i);
+        sched_.pushBatch(tid, seeds.data() + i, n);
+    }
+    work_.notify_all(); // idle workers: there is work to pop now
     return true;
 }
 
@@ -681,14 +794,12 @@ ExecutorService::handleTaskFailure(unsigned tid,
         Task again = task;
         again.attempt =
             packAttempt(tries + 1, demoteStampOf(task.attempt));
-        noteTasksCreated(*record, tid, 1);
+        record->term.noteCreated(tid);
         sched_.push(tid, again);
-        noteTaskCompleted(*record, tid);
+        record->term.noteCompleted(tid);
         taskRetries_.fetch_add(1, std::memory_order_relaxed);
         if (options_.metrics)
             options_.metrics->add(tid, WorkerCounter::TaskRetries);
-        // No finish attempt: the retried incarnation is outstanding,
-        // so the job cannot be quiescent.
         return;
     }
     if (record->retry.deadLetterOnExhaustion) {
@@ -705,25 +816,26 @@ ExecutorService::handleTaskFailure(unsigned tid,
         poisonedTasks_.fetch_add(1, std::memory_order_relaxed);
         if (options_.metrics)
             options_.metrics->add(tid, WorkerCounter::PoisonedTasks);
-        noteTaskCompleted(*record, tid);
-        maybeFinishJob(record);
+        record->term.noteCompleted(tid);
         return;
     }
-    noteTaskCompleted(*record, tid);
+    record->term.noteCompleted(tid);
     std::ostringstream msg;
     msg << "job '" << record->name << "': task (node " << task.node
         << ", prio " << task.priority << ") failed after "
-        << (tries + 1) << " attempt(s): " << what;
+        << (tries + 1) << " attempt(s): ProcessFn threw" << what;
     terminateJob(record, JobState::Failed, msg.str(),
                  /*widenCancelRace=*/false);
-    maybeFinishJob(record);
 }
 
 void
-ExecutorService::processTask(unsigned tid, const RecordPtr &record,
-                             const Task &task,
-                             std::vector<Task> &children)
+ExecutorService::processTask(Worker &w, const Task &task)
 {
+    if (!w.job || task.job != w.job->id)
+        switchJob(w, task.job);
+    w.unchecked = true; // every path below completes the task
+    const RecordPtr &record = w.job;
+    const unsigned tid = w.tid;
     if (record->latch.stopRequested()) {
         // Draining: the job already failed / was cancelled / expired.
         // Discard the task but keep the ledger exact — the job's
@@ -733,8 +845,7 @@ ExecutorService::processTask(unsigned tid, const RecordPtr &record,
         tasksDrained_.fetch_add(1, std::memory_order_relaxed);
         if (options_.metrics)
             options_.metrics->add(tid, WorkerCounter::DrainedTasks);
-        noteTaskCompleted(*record, tid);
-        maybeFinishJob(record);
+        record->term.noteCompleted(tid);
         return;
     }
 
@@ -755,17 +866,18 @@ ExecutorService::processTask(unsigned tid, const RecordPtr &record,
         again.priority = task.priority +
                          Priority(level - stamp) *
                              record->demotePenalty;
-        noteTasksCreated(*record, tid, 1);
+        record->term.noteCreated(tid);
         sched_.push(tid, again);
-        noteTaskCompleted(*record, tid);
+        record->term.noteCompleted(tid);
         demotedTasks_.fetch_add(1, std::memory_order_relaxed);
         if (options_.metrics)
             options_.metrics->add(tid, WorkerCounter::DemotedTasks);
-        // No finish attempt: the re-tagged incarnation is outstanding,
-        // so the job cannot be quiescent.
         return;
     }
 
+    const bool timed = options_.recordBreakdown;
+    uint64_t t1 = timed ? nowNs() : 0;
+    std::vector<Task> &children = w.children;
     children.clear();
     try {
         // Fault drill: service task processing throws.
@@ -775,12 +887,14 @@ ExecutorService::processTask(unsigned tid, const RecordPtr &record,
         }
         record->process(tid, task, children);
     } catch (const std::exception &e) {
-        handleTaskFailure(tid, record, task, e.what());
+        handleTaskFailure(tid, record, task,
+                          (std::string(": ") + e.what()).c_str());
         return;
     } catch (...) {
-        handleTaskFailure(tid, record, task, "non-std exception");
+        handleTaskFailure(tid, record, task, " a non-std exception");
         return;
     }
+    uint64_t t2 = timed ? nowNs() : 0;
 
     for (Task &c : children) {
         c.job = record->id;
@@ -792,19 +906,93 @@ ExecutorService::processTask(unsigned tid, const RecordPtr &record,
             c.priority += Priority(level) * record->demotePenalty;
     }
     if (!children.empty()) {
-        // Created before poppable — same ordering the executor's
-        // run-level counters rely on, now per job.
-        noteTasksCreated(*record, tid, children.size());
+        // Children enter the created count *before* they become
+        // poppable, so the ledger never transiently reads quiescent
+        // while work exists (worker_common.h).
+        record->term.noteCreated(tid, children.size());
         sched_.pushBatch(tid, children.data(), children.size());
     }
-    noteTaskCompleted(*record, tid);
-    if (record->tenantState) {
-        record->tenantState->tasksProcessed.fetch_add(
-            1, std::memory_order_relaxed);
+    record->term.noteCompleted(tid);
+
+    if (timed) {
+        w.seen[Component::Compute] += t2 - t1;
+        w.seen[Component::Enqueue] += nowNs() - t2;
     }
-    if (options_.metrics)
-        options_.metrics->add(tid, WorkerCounter::TasksProcessed);
-    maybeFinishJob(record);
+    ++w.seen.tasksProcessed;
+    w.seen.emptyTasks += children.empty();
+    ++w.tenantTasks;
+
+    // Design-independent drift reporting (Eq. 1): publish every
+    // processed task, sample on worker 0's interval.
+    record->drift.publish(tid, task.priority);
+    if (++w.popsSinceSample < options_.driftSampleInterval)
+        return;
+    w.popsSinceSample = 0;
+    MetricsRegistry *metrics = options_.metrics;
+    if (tid == 0) {
+        double drift = record->drift.computeDrift();
+        {
+            std::lock_guard<std::mutex> lock(record->driftMutex);
+            record->driftSeries.record(drift);
+        }
+        if (metrics) {
+            metrics->recordGlobal(GlobalSeries::Drift, drift);
+            metrics->set(0, WorkerGauge::PendingTasks,
+                         double(record->term.pendingApprox()));
+        }
+    }
+    if (metrics && timed) {
+        // Cumulative per-phase breakdown as a series: the deltas
+        // between samples localize where time went, which the totals
+        // cannot.
+        metrics->record(tid, WorkerSeries::EnqueueNs,
+                        double(w.seen[Component::Enqueue]));
+        metrics->record(tid, WorkerSeries::DequeueNs,
+                        double(w.seen[Component::Dequeue]));
+        metrics->record(tid, WorkerSeries::ComputeNs,
+                        double(w.seen[Component::Compute]));
+        metrics->record(tid, WorkerSeries::CommNs,
+                        double(w.seen[Component::Comm]));
+    }
+}
+
+void
+ExecutorService::switchJob(Worker &w, JobId id)
+{
+    RecordPtr next;
+    {
+        std::shared_lock<std::shared_mutex> lock(jobsMutex_);
+        auto it = jobs_.find(id);
+        if (it != jobs_.end())
+            next = it->second;
+    }
+    // A popped task's job must be in the table: records leave it only
+    // once quiescent, and a task in the scheduler is
+    // created-but-not-completed by definition.
+    hdcps_check(next != nullptr, "popped task for unknown job %u", id);
+    settle(w);
+    if (next->tenantState != w.tenant) {
+        w.flushTenant();
+        w.tenant = next->tenantState;
+    }
+    w.job = std::move(next);
+}
+
+void
+ExecutorService::settle(Worker &w)
+{
+    if (!w.job)
+        return;
+    w.reportTallies(options_.metrics);
+    // The worker that completes a job's last task always passes here
+    // next (empty pop, job switch or exit), so checking only after
+    // this worker's own completions still finds every finished job.
+    // (Not only after leaf tasks: a task's children may all complete
+    // on other workers before the task's own completion is counted.)
+    if (w.unchecked) {
+        w.unchecked = false;
+        maybeFinishJob(w.job);
+    }
 }
 
 void
@@ -816,9 +1004,10 @@ ExecutorService::workerEntry(unsigned tid)
     // its first pop.
     sched_.onWorkerStart(tid);
     const uint64_t epoch = supervisor_ ? supervisor_->epochOf(tid) : 0;
+    Worker w(tid);
     bool crashed = false;
     try {
-        workerLoop(tid, epoch);
+        workerLoop(w, epoch);
     } catch (...) {
         // Anything escaping the worker loop — the crash drill or a
         // genuine bug — is a worker death, not process death: latch it
@@ -826,15 +1015,20 @@ ExecutorService::workerEntry(unsigned tid)
         // silently shrinking.
         crashed = true;
     }
+    // Shut down, superseded or crashed: this thread may have completed
+    // its job's last task, and no other thread will check for it.
+    w.flushTenant();
+    settle(w);
     if (supervisor_)
         supervisor_->noteExit(tid, crashed);
 }
 
 void
-ExecutorService::workerLoop(unsigned tid, uint64_t epoch)
+ExecutorService::workerLoop(Worker &w, uint64_t epoch)
 {
-    std::vector<Task> children;
-    children.reserve(64);
+    const unsigned tid = w.tid;
+    const bool timed = options_.recordBreakdown;
+    const bool watched = options_.watchdogMs > 0;
     IdleBackoff backoff;
 
     while (true) {
@@ -843,8 +1037,8 @@ ExecutorService::workerLoop(unsigned tid, uint64_t epoch)
             // Superseded: the supervisor declared this incarnation
             // wedged and bumped the slot epoch. Exit cooperatively —
             // holding no task, loop-top — so the replacement can take
-            // over; the supervisor reclaims anything this thread
-            // pushed since the reclamation pass.
+            // over; the supervisor reclaims this thread's queues once
+            // it has exited.
             if (supervisor_->superseded(tid, epoch))
                 return;
             // Crash drill: die as if a bug killed this worker. The
@@ -872,17 +1066,31 @@ ExecutorService::workerLoop(unsigned tid, uint64_t epoch)
                 return;
         }
 
-        // Straggler drill: same cooperative pause point as the
-        // one-shot executor, so soak/chaos scenarios translate.
+        // Straggler drill: with an injector installed, this worker may
+        // cooperatively sleep here — placed before the pop so a paused
+        // worker looks exactly like a descheduled one (stale
+        // heartbeat, stranded queues).
         stragglerPausePoint(tid);
 
         bool adopted = adoptOne(tid);
 
+        uint64_t t0 = timed ? nowNs() : 0;
         Task task;
         // Fault drill: spurious pop failure; the task stays queued.
         bool got = !faultFires(faultsite::ExecPopFail) &&
                    sched_.tryPop(tid, task);
+        uint64_t t1 = timed ? nowNs() : 0;
         if (!got) {
+            if (timed)
+                w.seen[Component::Comm] += t1 - t0;
+            if (w.unchecked) {
+                w.flushTenant();
+                settle(w);
+                // Done with it: do not keep a finished job alive.
+                if (jobStateTerminal(
+                        w.job->state.load(std::memory_order_acquire)))
+                    w.job.reset();
+            }
             if (adopted)
                 continue;
             if (shutdown_.load(std::memory_order_acquire) &&
@@ -891,10 +1099,11 @@ ExecutorService::workerLoop(unsigned tid, uint64_t epoch)
             if (backoff.idle() &&
                 activeJobs_.load(std::memory_order_acquire) == 0) {
                 // Truly idle service: no admitted jobs at all, so no
-                // tasks can appear except through submit (which
-                // notifies). Sleep briefly instead of spinning.
+                // tasks can appear except through submit, which counts
+                // the job under this mutex and then notifies. Sleep
+                // briefly instead of spinning.
                 std::unique_lock<std::mutex> lock(admitMutex_);
-                if (queuedJobs_ == 0 &&
+                if (activeJobs_.load(std::memory_order_acquire) == 0 &&
                     !shutdown_.load(std::memory_order_acquire)) {
                     work_.wait_for(lock,
                                    std::chrono::milliseconds(1));
@@ -903,20 +1112,14 @@ ExecutorService::workerLoop(unsigned tid, uint64_t epoch)
             continue;
         }
         backoff.reset();
-
-        RecordPtr record;
-        {
-            std::shared_lock<std::shared_mutex> lock(jobsMutex_);
-            auto it = jobs_.find(task.job);
-            if (it != jobs_.end())
-                record = it->second;
+        if (timed)
+            w.seen[Component::Dequeue] += t1 - t0;
+        if (watched) {
+            pops_[tid].value.fetch_add(1, std::memory_order_relaxed);
+            lastPopNs_[tid].value.store(timed ? t1 : nowNs(),
+                                        std::memory_order_relaxed);
         }
-        // A popped task's job must be live: records are erased only
-        // once quiescent, and a task in the scheduler is
-        // created-but-not-completed by definition.
-        hdcps_check(record != nullptr,
-                    "popped task for unknown job %u", task.job);
-        processTask(tid, record, task, children);
+        processTask(w, task);
     }
 }
 
@@ -981,13 +1184,12 @@ ExecutorService::terminateJob(const RecordPtr &record, JobState verdict,
 }
 
 void
-ExecutorService::maybeFinishJob(const RecordPtr &record)
+ExecutorService::maybeFinishJob(const RecordPtr &record, bool force)
 {
-    // Per-job quiescence: same completed-first two-pass scan the
-    // executor uses for run-level termination (worker_common.h), over
-    // this job's ledger only. Cost is 2 * numThreads cache-line loads
-    // per completion — acceptable for a robustness-first service.
-    if (!record->term.quiescent())
+    // Per-job quiescence: the completed-first two-pass scan
+    // (worker_common.h) over this job's ledger only.
+    bool quiescent = record->term.quiescent();
+    if (!quiescent && !force)
         return;
     JobState expected = record->state.load(std::memory_order_acquire);
     while (!jobStateTerminal(expected)) {
@@ -1004,7 +1206,7 @@ ExecutorService::maybeFinishJob(const RecordPtr &record)
                 expected, terminal, std::memory_order_acq_rel);
         }
         if (won) {
-            finishRecord(*record, terminal);
+            finishRecord(*record, terminal, quiescent);
             return;
         }
         // `expected` was refreshed by the failed CAS (e.g. a
@@ -1013,7 +1215,8 @@ ExecutorService::maybeFinishJob(const RecordPtr &record)
 }
 
 void
-ExecutorService::finishRecord(Record &record, JobState terminal)
+ExecutorService::finishRecord(Record &record, JobState terminal,
+                              bool quiescent)
 {
     // Exactly-once per admitted job: callers reach here only after
     // winning the terminal-state transition.
@@ -1021,7 +1224,7 @@ ExecutorService::finishRecord(Record &record, JobState terminal)
         static_cast<double>(nowNs() - record.submitNs) / 1e6;
     record.latencyMs.store(ms, std::memory_order_release);
 
-    {
+    if (quiescent) {
         std::unique_lock<std::shared_mutex> lock(jobsMutex_);
         jobs_.erase(record.id);
     }
@@ -1068,6 +1271,7 @@ ExecutorService::deadlineLoop()
     std::vector<RecordPtr> expired;
     std::vector<RecordPtr> pressured;
     uint64_t lastSeriesNs = 0;
+    lastProgressNs_ = nowNs();
     while (true) {
         {
             std::unique_lock<std::mutex> lock(deadlineMutex_);
@@ -1085,12 +1289,17 @@ ExecutorService::deadlineLoop()
         expired.clear();
         pressured.clear();
         uint64_t now = nowNs();
+        const bool watched = options_.watchdogMs > 0;
+        uint64_t pending = 0;
         {
             std::shared_lock<std::shared_mutex> lock(jobsMutex_);
             for (const auto &[id, record] : jobs_) {
-                if (jobStateTerminal(record->state.load(
-                        std::memory_order_acquire)) ||
-                    record->latch.stopRequested())
+                if (jobStateTerminal(
+                        record->state.load(std::memory_order_acquire)))
+                    continue;
+                if (watched)
+                    pending += record->term.pendingApprox();
+                if (record->latch.stopRequested())
                     continue;
                 if (record->deadlineNs != 0 &&
                     now > record->deadlineNs) {
@@ -1127,6 +1336,8 @@ ExecutorService::deadlineLoop()
                                            std::memory_order_relaxed);
             }
         }
+        if (watched)
+            checkProgress(now, pending);
         // Per-tenant share/backlog series, paced to ~10ms. The
         // deadline monitor is the single writer of these customSeries
         // rings, satisfying the registry's single-writer contract.
@@ -1135,6 +1346,71 @@ ExecutorService::deadlineLoop()
             recordTenantSeries();
         }
     }
+}
+
+void
+ExecutorService::checkProgress(uint64_t now, uint64_t pending)
+{
+    uint64_t pops = 0;
+    for (const auto &p : pops_)
+        pops += p.value.load(std::memory_order_relaxed);
+    if (pending == 0 || pops != watchedPops_) {
+        watchedPops_ = pops;
+        lastProgressNs_ = now;
+        return;
+    }
+    if (now - lastProgressNs_ < options_.watchdogMs * 1000000ull)
+        return;
+    // Stalled: tasks in flight, nothing popped for a whole window.
+    std::ostringstream out;
+    out << "watchdog: no task popped for " << options_.watchdogMs
+        << " ms with " << pending << " tasks in flight; scheduler '"
+        << sched_.name() << "' reports ~" << sched_.sizeApprox()
+        << " buffered tasks (0 = unknown); pops per worker:";
+    for (size_t tid = 0; tid < pops_.size(); ++tid) {
+        uint64_t pops = pops_[tid].value.load(std::memory_order_relaxed);
+        uint64_t last =
+            lastPopNs_[tid].value.load(std::memory_order_relaxed);
+        uint64_t ageMs = now > last ? (now - last) / 1000000 : 0;
+        out << (tid == 0 ? " " : ", ") << "w" << tid << "=" << pops;
+        if (pops == 0)
+            out << " (no pops, " << ageMs << " ms since start)";
+        else
+            out << " (last pop " << ageMs << " ms ago)";
+    }
+    if (options_.metrics) {
+        out << "; counters:";
+        MetricsSnapshot snap = options_.metrics->snapshot();
+        bool first = true;
+        for (const auto &counter : snap.counters) {
+            if (counter.total == 0)
+                continue;
+            out << (first ? " " : ", ") << counter.name << "="
+                << counter.total;
+            first = false;
+        }
+        if (first)
+            out << " (all zero)";
+    }
+    // The stranded tasks may never surface, so the live jobs are
+    // finished without waiting for their drain; they stay in the job
+    // table in case the tasks do surface and need discarding.
+    const std::string why = out.str();
+    std::vector<RecordPtr> live;
+    {
+        std::shared_lock<std::shared_mutex> lock(jobsMutex_);
+        for (const auto &[id, record] : jobs_) {
+            if (!jobStateTerminal(
+                    record->state.load(std::memory_order_acquire)))
+                live.push_back(record);
+        }
+    }
+    for (const RecordPtr &record : live) {
+        terminateJob(record, JobState::Failed, why,
+                     /*widenCancelRace=*/false);
+        maybeFinishJob(record, /*force=*/true);
+    }
+    lastProgressNs_ = now;
 }
 
 void
@@ -1207,7 +1483,10 @@ ExecutorService::supervisorLoop()
         for (unsigned tid = 0; tid < options_.numThreads; ++tid) {
             switch (supervisor_->poll(tid, nowNs())) {
               case WorkerSupervisor::Decision::Quarantine:
-                quarantineAndReclaim(tid);
+                // Superseded but possibly still inside push: only stop
+                // routing work at it. Its queues are reclaimed once it
+                // has exited (healWorker / escalateService).
+                sched_.quarantine(tid);
                 break;
               case WorkerSupervisor::Decision::Restart:
                 healWorker(tid);
@@ -1246,11 +1525,10 @@ ExecutorService::healWorker(unsigned tid)
     // after it the slot has exactly zero driver threads.
     if (workers_[tid].joinable())
         workers_[tid].join();
-    // Reclaim *after* the join: a superseded zombie may have pushed
-    // tasks between the wedge-time reclamation and its exit, and a
-    // crash-path death was never reclaimed at all. Both ways, nothing
-    // strands in a slot nobody drives. (Quarantining twice is
-    // harmless.)
+    // Reclaim *after* the join: a superseded thread may still have
+    // been pushing until its exit, and a crash-path death was never
+    // quarantined at all. Either way nothing strands in a slot nobody
+    // drives. (Quarantining twice is harmless.)
     quarantineAndReclaim(tid);
     supervisor_->noteRestarted(tid, nowNs());
     if (options_.metrics) {
@@ -1309,24 +1587,13 @@ ExecutorService::escalateService(unsigned tid)
 
     // Drain the retired slot ourselves: with no thread driving it —
     // and possibly no live worker left at all — its remaining tasks
-    // must still reach their pop so every job's ledger balances.
+    // must still reach their pop so every job's ledger balances. Every
+    // job has failed by now, so processTask only discards.
+    Worker drainer(tid);
     Task task;
-    while (sched_.tryPop(tid, task)) {
-        RecordPtr record;
-        {
-            std::shared_lock<std::shared_mutex> lock(jobsMutex_);
-            auto it = jobs_.find(task.job);
-            if (it != jobs_.end())
-                record = it->second;
-        }
-        hdcps_check(record != nullptr,
-                    "popped task for unknown job %u", task.job);
-        tasksDrained_.fetch_add(1, std::memory_order_relaxed);
-        if (options_.metrics)
-            options_.metrics->add(tid, WorkerCounter::DrainedTasks);
-        noteTaskCompleted(*record, tid);
-        maybeFinishJob(record);
-    }
+    while (sched_.tryPop(tid, task))
+        processTask(drainer, task);
+    settle(drainer);
     work_.notify_all();
 }
 
@@ -1401,8 +1668,7 @@ ExecutorService::tenantStats() const
         s.tasksProcessed =
             ts.tasksProcessed.load(std::memory_order_relaxed);
         s.queuedJobs = ts.backlog.size();
-        s.inFlightTasks =
-            ts.inFlightTasks.load(std::memory_order_relaxed);
+        s.inFlightTasks = inFlightTasksLocked(&ts);
         s.virtualFinish = ts.virtualFinish;
         out.push_back(s);
     }
@@ -1428,10 +1694,17 @@ ExecutorService::shutdown()
 {
     std::lock_guard<std::mutex> guard(shutdownMutex_);
     shutdown_.store(true, std::memory_order_release);
-    admitSpace_.notify_all();
-    work_.notify_all();
-    deadlineCv_.notify_all();
-    supervisorCv_.notify_all();
+    // Pass through each sleeper's mutex before notifying: a thread
+    // between its shutdown_ check and its wait would otherwise miss
+    // the wakeup and sleep out its full timeout.
+    auto wake = [](std::mutex &mutex, std::condition_variable &cv) {
+        { std::lock_guard<std::mutex> lock(mutex); }
+        cv.notify_all();
+    };
+    wake(admitMutex_, admitSpace_);
+    wake(admitMutex_, work_);
+    wake(deadlineMutex_, deadlineCv_);
+    wake(supervisorMutex_, supervisorCv_);
     // The supervisor heals through the drain and exits once every job
     // is terminal; join it *first* so it stops swapping replacement
     // threads into workers_ before we join those.

@@ -1,15 +1,16 @@
 /**
  * @file
- * Long-lived multi-tenant scheduling service over any CPS design.
+ * Long-lived multi-tenant scheduling service over any CPS design, and
+ * the runtime's only worker loop.
  *
- * The one-shot executor (executor.h) answers "run this workload to
- * completion once". Real deployments of a concurrent priority
- * scheduler look different: a resident worker pool serves a *stream*
- * of jobs — each with its own task-processing function, initial tasks,
- * job-level priority, deadline and retry policy — and one tenant's
- * failure must not take down its neighbours. ExecutorService is that
- * service, layered on the exact same building blocks as the executor
- * (see runtime/worker_common.h):
+ * A resident worker pool serves a *stream* of jobs — each with its own
+ * task-processing function, initial tasks, job-level priority, deadline
+ * and retry policy — and one tenant's failure must not take down its
+ * neighbours. The one-shot run() (executor.h) is this service with a
+ * single job. Two levels of scheduling share the pool: jobs are
+ * dispatched by the admission policy below, and their tasks mix freely
+ * in the one shared CPS, tagged with their owner's JobId (cps/task.h).
+ * The per-task path touches no service-wide state (DESIGN.md §11).
  *
  *  - Two-level scheduling with weighted fair sharing: admission
  *    dispatch is start-time fair queueing (SFQ) across *tenants* —
@@ -17,12 +18,11 @@
  *    cost(job)/weight to it, and the eligible tenant with the smallest
  *    candidate virtual finish time wins. Within one tenant, jobs keep
  *    the original strict (priority, FIFO) order; task-level
- *    interleaving inside the shared CPS stays relaxed — co-resident
- *    jobs' tasks mix freely in the scheduler, tagged with their
- *    owner's JobId (cps/task.h). The pre-fairness policy — one strict
- *    (priority, id) queue across all jobs — starved low-priority
- *    tenants indefinitely under sustained high-priority load; SFQ
- *    bounds every backlogged tenant's wait by the weighted round.
+ *    interleaving inside the shared CPS stays relaxed. The
+ *    pre-fairness policy — one strict (priority, id) queue across all
+ *    jobs — starved low-priority tenants indefinitely under sustained
+ *    high-priority load; SFQ bounds every backlogged tenant's wait by
+ *    the weighted round.
  *  - Per-tenant quotas (ServiceOptions::tenants): max queued jobs,
  *    max in-flight tasks (a dispatch-eligibility gate), and a
  *    token-bucket admission rate. Violations reject at submit with a
@@ -30,7 +30,8 @@
  *    honor blockWhenFull, rate limits always reject. A global
  *    ServiceOptions::maxInFlightTasks budget makes dispatch the
  *    bottleneck at saturation, which is what turns the weighted
- *    dispatch share into a completed-task share.
+ *    dispatch share into a completed-task share. Both in-flight gates
+ *    sum the per-job ledgers at dispatch time.
  *  - Cooperative preemption: JobHandle::deprioritize() (or the
  *    deadline-pressure auto path, JobSpec::demoteAfterMs) bumps a
  *    running job's demote level. Its already-queued task incarnations
@@ -47,11 +48,14 @@
  *    keep popping its tasks but discard them (counted, so the per-job
  *    conservation ledger still balances to zero) until the job is
  *    quiescent — co-resident jobs never notice.
- *  - Per-job completion detection: the executor's distributed
- *    created/completed counters and completed-first quiescence scan,
- *    instantiated once per job. Whichever worker completes a job's
- *    last task wins a CAS to the terminal state, records the latency,
- *    and wakes waiters.
+ *  - Per-job completion detection: distributed created/completed
+ *    counters and the completed-first quiescence scan, one instance
+ *    per job. The worker that completes a job's last task checks it
+ *    at its next empty pop, job switch or exit, wins a CAS to the
+ *    terminal state, records the latency, and wakes waiters.
+ *  - Progress watchdog (RunOptions::watchdogMs): the deadline monitor
+ *    fails every live job when tasks are in flight but no worker
+ *    popped for a full window.
  *  - Bounded admission with backpressure: at most
  *    ServiceOptions::admissionCapacity jobs may be queued (admitted
  *    but not yet adopted by a worker). An overflowing submit either
@@ -68,10 +72,10 @@
  * drives a per-worker health FSM off loop-top heartbeats and a
  * worker-exit latch. A worker that wedges (stale heartbeat) or dies
  * (crash drill / escaped exception) is quarantined — the scheduler
- * stops routing remote work at it — its buffered tasks are forcibly
- * reclaimed into live peers, and a replacement thread is spawned into
- * the freed slot, up to SupervisorPolicy::maxRestarts per sliding
- * window; past the budget the service escalates: every live job fails,
+ * stops routing remote work at it. Once the thread has left its loop,
+ * its buffered tasks are forcibly reclaimed into live peers and a
+ * replacement is spawned into the freed slot, up to
+ * SupervisorPolicy::maxRestarts per sliding window; past the budget the service escalates: every live job fails,
  * future submissions are rejected, and the slot is retired. Task
  * conservation stays exact throughout — reclaimed tasks re-enter live
  * queues and drained tasks are counted per job.
@@ -325,6 +329,11 @@ class JobHandle
     /** Tasks this job completed (processed + discarded), for tests. */
     uint64_t tasksCompleted() const;
 
+    /** The job as run() reports it: per-worker counts and phase
+     *  timing, Eq. 1 drift (worker 0 samples it), submit-to-terminal
+     *  wall time and verdict. Complete once the service shut down. */
+    RunResult report() const;
+
     /** Tasks this job dead-lettered (poison quarantine). */
     uint64_t poisonedTasks() const;
 
@@ -338,13 +347,16 @@ class JobHandle
         : record_(std::move(record))
     {}
 
+    /** The record, after checking the handle is valid. */
+    detail::JobRecord &rec() const;
+
     std::shared_ptr<detail::JobRecord> record_;
 };
 
-/** Service tunables. */
-struct ServiceOptions
+/** Service tunables: the runtime options run() shares, plus the
+ *  service's own. */
+struct ServiceOptions : RunOptions
 {
-    unsigned numThreads = 1;
     /** Max jobs admitted but not yet adopted by a worker. Submissions
      *  beyond this are rejected (or block, see blockWhenFull). */
     size_t admissionCapacity = 16;
@@ -367,12 +379,6 @@ struct ServiceOptions
      *  default TenantQuota (weight 1, no limits) on first use. */
     std::map<TenantId, TenantQuota> tenants;
     uint64_t seed = 1;           ///< retry-backoff jitter seed
-    uint64_t reclaimAfterMs = 0; ///< forwarded to the scheduler
-    /** Optional observability sink (>= numThreads worker slots,
-     *  outlives the service). Workers attribute TaskRetries /
-     *  DrainedTasks to their own slots; job latencies land in the
-     *  JobLatencyMs global series. */
-    MetricsRegistry *metrics = nullptr;
     /** Worker supervision: health FSM thresholds, replacement-worker
      *  budget, escalation (disabled by default — zero extra threads,
      *  zero per-iteration cost). */
@@ -416,16 +422,23 @@ struct TenantStats
     uint64_t admitted = 0;
     uint64_t rejected = 0;
     uint64_t jobsCompleted = 0;
-    uint64_t tasksProcessed = 0; ///< successful ProcessFn completions
+    /** Successful ProcessFn completions; workers add theirs in
+     *  batches, when they switch tenants or run dry. */
+    uint64_t tasksProcessed = 0;
     uint64_t queuedJobs = 0;     ///< backlog at snapshot time
-    uint64_t inFlightTasks = 0;  ///< created-but-not-completed now
+    /** Created-but-not-completed tasks of the tenant's live jobs now,
+     *  summed from their ledgers. */
+    uint64_t inFlightTasks = 0;
     double virtualFinish = 0.0;  ///< SFQ clock (diagnostics)
 };
 
 /**
- * The long-lived worker pool. Owns its worker threads and a deadline
- * monitor; schedules every job's tasks through the caller-provided
- * scheduler (any CPS design — wrap it in a VerifyingScheduler to get
+ * The long-lived worker pool. Owns its worker threads (started with
+ * the first admitted job) and a deadline monitor (started with the
+ * first job that needs one: a deadline, auto-demotion, the watchdog or
+ * the metrics series); schedules every job's tasks through the
+ * caller-provided scheduler (any CPS design — wrap it in a
+ * VerifyingScheduler to get
  * per-job conservation checking). The scheduler must have exactly
  * ServiceOptions::numThreads workers and must outlive the service.
  */
@@ -482,10 +495,9 @@ class ExecutorService
     /**
      * One tenant's fair-queueing state. Structure (backlog, clocks,
      * bucket, plain counters) is guarded by admitMutex_; the atomics
-     * are touched on the per-task hot path without it. Stored behind
-     * stable unique_ptrs: JobRecords keep a raw pointer for inflight
-     * accounting, and tenants are never erased while the service
-     * lives.
+     * are updated without it. Stored behind stable unique_ptrs:
+     * JobRecords keep a raw pointer to their tenant, and tenants are
+     * never erased while the service lives.
      */
     struct TenantState
     {
@@ -505,7 +517,6 @@ class ExecutorService
         uint64_t submitted = 0;
         uint64_t admitted = 0;
         uint64_t rejected = 0;
-        std::atomic<uint64_t> inFlightTasks{0};
         std::atomic<uint64_t> jobsCompleted{0};
         std::atomic<uint64_t> tasksProcessed{0};
         /** Deadline-monitor-only sampling state for the per-tenant
@@ -515,18 +526,37 @@ class ExecutorService
         uint64_t lastTasksProcessed = 0;
     };
 
-    /** Thread entry for slot `tid`: runs workerLoop and latches the
+    /** One worker thread's private loop state (executor_service.cc). */
+    struct Worker;
+
+    /** Spawn the workers (and the supervisor); called once, by the
+     *  first admitted submit. */
+    void startPool();
+
+    /** Thread entry for slot `tid`: runs workerLoop, settles the
+     *  worker's current job however the loop ended, and latches the
      *  exit (crash vs cooperative) with the supervisor. */
     void workerEntry(unsigned tid);
-    void workerLoop(unsigned tid, uint64_t epoch);
+    void workerLoop(Worker &w, uint64_t epoch);
     void deadlineLoop();
 
+    /** Point `w` at the job of a task it just popped (shared table
+     *  lookup), settling the job it leaves. */
+    void switchJob(Worker &w, JobId job);
+
+    /** Add `w`'s unreported counts to its job and tenant, then check
+     *  the job for completion if `w` completed any of its tasks since
+     *  the last check. */
+    void settle(Worker &w);
+
     /** Supervisor thread: poll the health FSM and execute its
-     *  decisions (quarantine + reclaim, heal, escalate). */
+     *  decisions (quarantine, heal, escalate). */
     void supervisorLoop();
 
     /** Quarantine `tid` and force-reclaim its buffered tasks into live
-     *  peers; records ReclaimLatencyMs. Returns tasks moved. */
+     *  peers; records ReclaimLatencyMs. Returns tasks moved. Only once
+     *  `tid`'s thread has left its loop: the reclaim reads queue state
+     *  that a worker still inside push would be writing. */
     size_t quarantineAndReclaim(unsigned tid);
 
     /** Heal a Dead slot: join the dead incarnation, reclaim its
@@ -547,20 +577,22 @@ class ExecutorService
     /** Get-or-create a tenant's state; admitMutex_ must be held. */
     TenantState &tenantStateLocked(TenantId id);
 
-    /** Ledger + in-flight accounting for `n` tasks created by `tid`
-     *  on behalf of record's job (before they become poppable). */
-    void noteTasksCreated(Record &record, unsigned tid, uint64_t n);
-
-    /** Ledger + in-flight accounting for one completed task. */
-    void noteTaskCompleted(Record &record, unsigned tid);
+    /** Created-but-not-completed tasks of the live jobs of `tenant`
+     *  (all tenants when null), summed from their ledgers;
+     *  admitMutex_ must be held. */
+    uint64_t inFlightTasksLocked(const TenantState *tenant) const;
 
     /** Record per-tenant share/backlog series (deadline monitor only,
      *  every ~10ms). */
     void recordTenantSeries();
 
-    /** Pop-side handling of one task belonging to `record`. */
-    void processTask(unsigned tid, const RecordPtr &record,
-                     const Task &task, std::vector<Task> &children);
+    /** Progress watchdog tick (deadline monitor only): `pending` is the
+     *  live jobs' in-flight total; fails them all, with a diagnostic,
+     *  once no worker popped for a full RunOptions::watchdogMs window. */
+    void checkProgress(uint64_t now, uint64_t pending);
+
+    /** Pop-side handling of one task (switching `w` to its job). */
+    void processTask(Worker &w, const Task &task);
 
     /** A task of `record` threw: retry with backoff, or exhaust the
      *  policy and latch the job failure. */
@@ -577,12 +609,16 @@ class ExecutorService
     bool terminateJob(const RecordPtr &record, JobState verdict,
                       const std::string &message, bool widenCancelRace);
 
-    /** Terminal-transition attempt: if the job is quiescent, CAS it to
-     *  its terminal state, record latency, wake waiters. */
-    void maybeFinishJob(const RecordPtr &record);
+    /** Terminal-transition attempt: if the job is quiescent — or
+     *  `force` is set (the watchdog gives up on stranded tasks) — CAS
+     *  it to its terminal state, record latency, wake waiters. */
+    void maybeFinishJob(const RecordPtr &record, bool force = false);
 
-    /** One-time terminal bookkeeping (state already stored). */
-    void finishRecord(Record &record, JobState terminal);
+    /** One-time terminal bookkeeping (state already stored). A job
+     *  finished with tasks still outstanding stays in the job table,
+     *  so workers that pop its stranded tasks can discard them. */
+    void finishRecord(Record &record, JobState terminal,
+                      bool quiescent = true);
 
     uint64_t retryBackoffUs(const Record &record,
                             const Task &task) const;
@@ -590,8 +626,9 @@ class ExecutorService
     Scheduler &sched_;
     ServiceOptions options_;
 
-    /** Job table: every admitted, non-terminal job by id. Read on the
-     *  per-task hot path (shared), written on admit/finish. */
+    /** Job table: every admitted, non-terminal job by id (plus any
+     *  job the watchdog gave up on with tasks still stranded). Read
+     *  when a worker switches jobs (shared), written on admit/finish. */
     mutable std::shared_mutex jobsMutex_;
     std::unordered_map<JobId, RecordPtr> jobs_;
 
@@ -605,7 +642,9 @@ class ExecutorService
     mutable std::mutex admitMutex_;
     std::map<TenantId, std::unique_ptr<TenantState>> tenants_;
     double vtime_ = 0.0;
-    size_t queuedJobs_ = 0; ///< total backlog across tenants
+    /** Total backlog across tenants. Written under admitMutex_; read
+     *  without it by every worker's loop-top adoption check. */
+    std::atomic<size_t> queuedJobs_{0};
     std::condition_variable admitSpace_; ///< blocked submitters
     std::condition_variable work_;       ///< idle workers
 
@@ -628,9 +667,14 @@ class ExecutorService
     std::atomic<uint64_t> poisonedTasks_{0};
     std::atomic<uint64_t> demotedTasks_{0};
     std::atomic<uint64_t> autoDemotedJobs_{0};
-    /** Created-but-not-completed tasks across all jobs (the
-     *  maxInFlightTasks dispatch gate). */
-    std::atomic<uint64_t> inFlightTasks_{0};
+
+    /** Progress watchdog state: per-worker pop counts and last-pop
+     *  times (written only while RunOptions::watchdogMs is set), and
+     *  the deadline monitor's own view of the last progress. */
+    std::vector<Padded<std::atomic<uint64_t>>> pops_;
+    std::vector<Padded<std::atomic<uint64_t>>> lastPopNs_;
+    uint64_t watchedPops_ = 0;
+    uint64_t lastProgressNs_ = 0;
 
     /** Latencies of terminal (non-rejected) jobs, ms. The mutex also
      *  serializes JobLatencyMs recordGlobal writers. */
@@ -649,6 +693,12 @@ class ExecutorService
     std::thread supervisorThread_;
 
     std::mutex shutdownMutex_; ///< serializes the join phase
+    /** Threads start lazily: the pool with the first admitted job, the
+     *  deadline monitor with the first one that needs it (a deadline,
+     *  auto-demotion, the watchdog or the metrics series). An idle
+     *  service costs no threads. */
+    std::once_flag poolStarted_;
+    std::once_flag monitorStarted_;
     std::vector<std::thread> workers_;
     std::thread deadlineMonitor_;
 };

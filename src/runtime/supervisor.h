@@ -193,7 +193,6 @@ class WorkerSupervisor
      *  per-worker metrics slot inside the post-join safe window. */
     uint64_t drainTransitions(unsigned tid);
 
-    const SupervisorPolicy &policy() const { return policy_; }
     unsigned numWorkers() const { return unsigned(slots_.size()); }
 
   private:

@@ -1,22 +1,20 @@
 /**
  * @file
- * Worker-loop machinery shared by the one-shot executor (executor.cc)
- * and the long-lived multi-tenant ExecutorService
- * (executor_service.cc). Both drive the same pop/process/push loop
- * shape over a Scheduler; what they share lives here so the service is
- * a true generalization of the executor rather than a fork of it:
+ * Building blocks of the runtime's one worker loop
+ * (ExecutorService::workerLoop, executor_service.cc; run() is a
+ * one-job service), kept apart so each can be tested alone:
  *
- *  - TerminationCounters: the distributed created/completed counters
- *    and the completed-first quiescence scan (soundness argument on
- *    quiescentOnce; DESIGN.md §11). The executor keeps one instance
- *    per run; the service keeps one per *job*, which is exactly what
- *    turns run-level termination detection into per-job completion
+ *  - TerminationCounters: one job's distributed created/completed
+ *    counters and the completed-first quiescence scan (soundness
+ *    argument on quiescentOnce; DESIGN.md §11). Every job carries its
+ *    own, which turns termination detection into per-job completion
  *    detection.
  *  - FailureLatch: first-error-wins failure latching plus the stop
- *    flag workers drain on. The executor latches once per run; the
- *    service embeds one latch per job, so one job's failure (thrown
- *    ProcessFn, expired deadline, explicit cancel) stops only that
- *    job's processing while co-resident jobs keep running.
+ *    flag. Each job embeds one, so one job's failure (thrown
+ *    ProcessFn, expired deadline, explicit cancel, watchdog) stops
+ *    only that job's processing while co-resident jobs keep running.
+ *  - WorkerLifeline: the heartbeat, epoch and exit latch a worker
+ *    shares with its supervisor (runtime/supervisor.h).
  *  - IdleBackoff: the brief-spin-then-yield policy an empty-handed
  *    worker follows so oversubscribed hosts still make progress.
  *  - TokenBucket: the deterministic admission rate limiter the
@@ -64,14 +62,6 @@ class TerminationCounters
         created_[tid].value.fetch_add(n, std::memory_order_release);
     }
 
-    /** Relaxed seed-phase store (single-threaded, before workers
-     *  start; the thread spawns publish it). */
-    void
-    seedCreated(unsigned tid, uint64_t n)
-    {
-        created_[tid].value.store(n, std::memory_order_relaxed);
-    }
-
     /** Count one task completed by slot `tid`. Call *after* its
      *  children were pushed (or its failure latched). */
     void
@@ -91,9 +81,9 @@ class TerminationCounters
      * sum read *after* it. By monotonicity C >= created@(end of
      * completed scan) >= completed@(same instant) >= D. So C == D
      * forces created == completed at the instant the completed scan
-     * finished — i.e. the system was quiescent then. New tasks are
-     * only created by in-flight tasks (seeding happens before workers
-     * consume), so a quiescent system stays quiescent, and the
+     * finished — i.e. the job was quiescent then. New tasks are only
+     * created by in-flight tasks (the seeds are counted before they
+     * are pushed), so a quiescent job stays quiescent, and the
      * detection is safe: no false positives, and once all work is done
      * the next scan sees it. The acquire loads pair with the workers'
      * release increments, so a detector that observes a completion
@@ -103,58 +93,43 @@ class TerminationCounters
     bool
     quiescentOnce() const
     {
-        uint64_t done = 0;
-        for (const auto &c : completed_)
-            done += c.value.load(std::memory_order_acquire);
-        uint64_t made = 0;
-        for (const auto &c : created_)
-            made += c.value.load(std::memory_order_acquire);
-        return made == done;
+        uint64_t done = completedTotal();
+        return createdTotal() == done;
     }
 
     /**
      * Two-pass termination check (the paper's HW protocol confirms an
      * idle snapshot with a second round before broadcasting DONE; we
      * mirror that shape). The single completed-first scan is already
-     * sound — the confirm pass is cheap insurance on the cold idle
-     * path and keeps the software check structurally faithful to
-     * Section III-D.
+     * sound — the confirm pass runs only when the first balanced, and
+     * keeps the software check structurally faithful to Section
+     * III-D.
      */
     bool quiescent() const { return quiescentOnce() && quiescentOnce(); }
 
-    /** In-flight estimate for diagnostics and gauges. Reading
-     *  completed before created keeps the difference non-negative. */
+    /** In-flight estimate for diagnostics, gauges and the dispatch
+     *  gates. Reading completed before created keeps the difference
+     *  non-negative. */
     uint64_t
     pendingApprox() const
     {
-        uint64_t done = 0;
-        for (const auto &c : completed_)
-            done += c.value.load(std::memory_order_acquire);
-        uint64_t made = 0;
-        for (const auto &c : created_)
-            made += c.value.load(std::memory_order_acquire);
-        return made - done;
+        uint64_t done = completedTotal();
+        return createdTotal() - done;
     }
 
-    uint64_t
-    createdTotal() const
-    {
-        uint64_t made = 0;
-        for (const auto &c : created_)
-            made += c.value.load(std::memory_order_acquire);
-        return made;
-    }
-
-    uint64_t
-    completedTotal() const
-    {
-        uint64_t done = 0;
-        for (const auto &c : completed_)
-            done += c.value.load(std::memory_order_acquire);
-        return done;
-    }
+    uint64_t completedTotal() const { return sum(completed_); }
 
   private:
+    uint64_t createdTotal() const { return sum(created_); }
+
+    static uint64_t
+    sum(const std::vector<Padded<std::atomic<uint64_t>>> &slots)
+    {
+        uint64_t total = 0;
+        for (const auto &slot : slots)
+            total += slot.value.load(std::memory_order_acquire);
+        return total;
+    }
     std::vector<Padded<std::atomic<uint64_t>>> created_;
     std::vector<Padded<std::atomic<uint64_t>>> completed_;
 };
@@ -288,8 +263,6 @@ class TokenBucket
         tokens_ -= 1.0;
         return true;
     }
-
-    double tokens() const { return tokens_; }
 
   private:
     double ratePerNs_ = 0.0; ///< 0 = unlimited

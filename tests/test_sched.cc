@@ -230,21 +230,32 @@ TEST(SwMinnow, SpillsDoNotDoubleCountEnqueues)
     sched.attachMetrics(&metrics);
 
     constexpr uint32_t kTasks = 64;
-    for (uint32_t i = 0; i < kTasks; ++i)
+    uint64_t pushes = 0;
+    for (uint32_t i = 0; i < kTasks; ++i, ++pushes)
         sched.push(0, Task{uint64_t(i % 8), i, 0});
 
-    // The helper needs one claim/spill cycle: a 16-task chunk against a
-    // 2-slot ring spills at least 14 tasks.
+    // The helper spills only when a claimed chunk outgrows the ring's
+    // free slots. It may have filled the ring with one-task claims
+    // while the pushes were still arriving, and a full ring stops it
+    // claiming until the worker pops — so pop, and push each popped
+    // task back (an enqueue of its own), until a claim spills. The map
+    // then holds whole bags, so a claim soon takes more than 2 tasks.
     const uint64_t deadline = nowNs() + uint64_t(10e9);
-    while (sched.spilledTasks() == 0 && nowNs() < deadline)
+    while (sched.spilledTasks() == 0 && nowNs() < deadline) {
+        Task task;
+        if (sched.tryPop(0, task)) {
+            sched.push(0, task);
+            ++pushes;
+        }
         std::this_thread::yield();
+    }
     ASSERT_GT(sched.spilledTasks(), 0u)
         << "helper never spilled; spill path not exercised";
 
     MetricsSnapshot snap = metrics.snapshot();
     const auto *remote = schedCounterByName(snap, "remote_enqueues");
     ASSERT_NE(remote, nullptr);
-    EXPECT_EQ(remote->total, kTasks)
+    EXPECT_EQ(remote->total, pushes)
         << "spill re-pushes must not be counted as new enqueues";
 }
 
@@ -498,6 +509,7 @@ TEST(Executor, BreakdownComponentsPopulated)
     PmodScheduler sched(2);
     RunOptions options;
     options.numThreads = 2;
+    options.recordBreakdown = true; // off by default
     RunResult result = run(sched, {Task{0, 0, 0}}, treeWorkload(4, 6),
                            options);
     EXPECT_GT(result.total[Component::Dequeue], 0u);

@@ -18,6 +18,7 @@
 
 #include "core/hdcps.h"
 #include "cps/multiqueue.h"
+#include "cps/obim.h"
 #include "cps/verifying_scheduler.h"
 #include "runtime/executor_service.h"
 #include "runtime/poison_drill.h"
@@ -92,9 +93,12 @@ TEST(Service, SingleJobCompletes)
     spec.initial = {Task{0, 0, 4}};
     JobHandle job = svc.submit(std::move(spec));
     ASSERT_TRUE(job.valid());
+    // With no other job and no shutdown, only the check a worker makes
+    // when it runs dry can finish the job.
     EXPECT_EQ(job.wait(), JobState::Completed);
     EXPECT_EQ(processed.load(), treeSize(4));
     EXPECT_EQ(job.tasksCompleted(), treeSize(4));
+    EXPECT_EQ(job.report().total.tasksProcessed, treeSize(4));
     EXPECT_TRUE(job.error().empty());
     EXPECT_GT(job.latencyMs(), 0.0);
 
@@ -1536,6 +1540,185 @@ TEST(Preemption, DeadlinePressureAutoDemotesOnce)
     ServiceStats stats = svc.stats();
     EXPECT_EQ(stats.autoDemotedJobs, 1u);
     EXPECT_GE(stats.demotedTasks, 1u);
+}
+
+// ---------------------------------------- completion check points
+//
+// A job is checked for completion only where a worker that completed
+// one of its tasks next runs dry (Service.SingleJobCompletes), switches
+// jobs, or exits. Each test leaves exactly one of those paths to the
+// job's last worker.
+
+void
+expectCompletes(JobHandle &job)
+{
+    JobState state = JobState::Queued;
+    ASSERT_TRUE(job.waitFor(10000, &state)) << job.name();
+    EXPECT_EQ(state, JobState::Completed) << job.name();
+}
+
+TEST(CompletionCheck, LastWorkerSwitchesJobs)
+{
+    // One worker, strict-order scheduler: the chain job always has its
+    // next task queued, so the worker never runs dry until released and
+    // the short job can only finish at the switch back to the chain.
+    ObimScheduler sched(1);
+    ServiceOptions options;
+    ExecutorService svc(sched, options);
+    std::atomic<bool> release{false};
+    std::atomic<uint64_t> chainTasks{0};
+    JobSpec chain;
+    chain.process = [&](unsigned, const Task &task,
+                        std::vector<Task> &children) {
+        chainTasks.fetch_add(1, std::memory_order_relaxed);
+        if (!release.load(std::memory_order_acquire))
+            children.push_back(Task{task.priority + 1, task.node, 0});
+    };
+    chain.initial = {Task{100, 0, 0}};
+    JobHandle chainJob = svc.submit(std::move(chain));
+    while (chainTasks.load(std::memory_order_relaxed) < 10)
+        std::this_thread::yield();
+
+    std::atomic<uint64_t> processed{0};
+    JobSpec spec;
+    spec.process = treeJob(processed);
+    spec.initial = {Task{0, 0, 0}};
+    JobHandle shortJob = svc.submit(std::move(spec));
+    expectCompletes(shortJob);
+    EXPECT_EQ(chainJob.state(), JobState::Running);
+    release.store(true, std::memory_order_release);
+    expectCompletes(chainJob);
+}
+
+TEST(CompletionCheck, LastWorkerIsSuperseded)
+{
+    // The pool starts with the job queued, so the worker's second loop
+    // top follows the job's only task: the wedge drill fires there,
+    // the supervisor supersedes the worker, and it exits without
+    // another pop. Only its exit check can finish the job.
+    ScopedFaultInjection faults(5);
+    faults->arm(faultsite::SvcWorkerWedge, FaultMode::OneShot, 2);
+    ObimScheduler sched(1);
+    ServiceOptions options;
+    options.supervisor.enabled = true;
+    options.supervisor.probeIntervalMs = 1;
+    options.supervisor.suspectAfterMs = 5;
+    options.supervisor.wedgedAfterMs = 20; // drill stalls 3x this
+    ExecutorService svc(sched, options);
+    std::atomic<uint64_t> processed{0};
+    JobSpec spec;
+    spec.process = treeJob(processed);
+    spec.initial = {Task{0, 0, 0}};
+    JobHandle job = svc.submit(std::move(spec));
+    expectCompletes(job);
+    EXPECT_EQ(faults->fireCount(faultsite::SvcWorkerWedge), 1u);
+    EXPECT_GE(svc.stats().wedgesDetected, 1u);
+}
+
+// ------------------------------------------------ in-flight gates
+
+/** While one tenant-1 task holds a worker, tenant 1 has exactly one
+ *  task in flight. With `globalGate` the service-wide budget of 1 must
+ *  hold every tenant's next job queued; otherwise tenant 1's own quota
+ *  of 1 holds only its next job. Both gates read the per-job ledgers,
+ *  and those read exactly zero once the service is quiescent. */
+void
+expectInFlightGateHolds(bool globalGate)
+{
+    ObimScheduler sched(2);
+    ServiceOptions options;
+    options.numThreads = 2;
+    if (globalGate)
+        options.maxInFlightTasks = 1;
+    else
+        options.tenants[1].maxInFlightTasks = 1;
+    ExecutorService svc(sched, options);
+
+    std::atomic<bool> release{false};
+    std::atomic<bool> entered{false};
+    JobSpec hold;
+    hold.tenant = 1;
+    hold.process = [&](unsigned, const Task &, std::vector<Task> &) {
+        entered.store(true, std::memory_order_release);
+        while (!release.load(std::memory_order_acquire))
+            std::this_thread::yield();
+    };
+    hold.initial = {Task{0, 1, 0}};
+    JobHandle holder = svc.submit(std::move(hold));
+    while (!entered.load(std::memory_order_acquire))
+        std::this_thread::yield();
+
+    std::atomic<uint64_t> done{0};
+    JobHandle sameTenant = svc.submit(tenantJob(1, done, 1));
+    JobHandle otherTenant = svc.submit(tenantJob(2, done, 2));
+    if (!globalGate)
+        expectCompletes(otherTenant);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(sameTenant.state(), JobState::Queued);
+    if (globalGate)
+        EXPECT_EQ(otherTenant.state(), JobState::Queued);
+    std::vector<TenantStats> tenants = svc.tenantStats();
+    ASSERT_EQ(tenants.size(), 2u);
+    EXPECT_EQ(tenants[0].inFlightTasks, 1u);
+    EXPECT_EQ(tenants[0].queuedJobs, 1u);
+
+    release.store(true, std::memory_order_release);
+    for (JobHandle *job : {&holder, &sameTenant, &otherTenant})
+        expectCompletes(*job);
+    svc.shutdown();
+    for (const TenantStats &t : svc.tenantStats())
+        EXPECT_EQ(t.inFlightTasks, 0u) << "tenant " << t.tenant;
+}
+
+TEST(InFlightGates, TenantGateHoldsOnlyItsTenant)
+{
+    expectInFlightGateHolds(false);
+}
+
+TEST(InFlightGates, GlobalGateHoldsEveryTenant)
+{
+    expectInFlightGateHolds(true);
+}
+
+// ------------------------------------------------------- watchdog
+
+/** Swallows every push and never returns work: the canonical stall. */
+class BlackholeScheduler : public Scheduler
+{
+  public:
+    explicit BlackholeScheduler(unsigned n) : Scheduler(n) {}
+    void push(unsigned, const Task &) override {}
+    bool tryPop(unsigned, Task &) override { return false; }
+    const char *name() const override { return "blackhole"; }
+};
+
+TEST(Watchdog, FailsEveryLiveJobOfAStalledService)
+{
+    BlackholeScheduler sched(2);
+    ServiceOptions options;
+    options.numThreads = 2;
+    options.watchdogMs = 50;
+    ExecutorService svc(sched, options);
+    std::atomic<uint64_t> processed{0};
+    std::vector<JobHandle> jobs;
+    for (uint32_t i = 0; i < 3; ++i) {
+        JobSpec spec;
+        spec.process = treeJob(processed);
+        spec.initial = {Task{0, i, 3}};
+        jobs.push_back(svc.submit(std::move(spec)));
+    }
+    for (JobHandle &job : jobs) {
+        JobState state = JobState::Queued;
+        ASSERT_TRUE(job.waitFor(10000, &state)) << job.name();
+        EXPECT_EQ(state, JobState::Failed) << job.name();
+        EXPECT_NE(job.error().find("watchdog"), std::string::npos)
+            << job.error();
+        EXPECT_NE(job.error().find("blackhole"), std::string::npos)
+            << job.error();
+    }
+    EXPECT_EQ(processed.load(), 0u);
+    svc.shutdown(); // returns: no live job is left to wait for
+    EXPECT_EQ(svc.stats().failed, 3u);
 }
 
 } // namespace

@@ -33,13 +33,16 @@ namespace {
 
 // ------------------------------------------------- threaded stress
 
-/** Random task tree: every task spawns 0-4 children up to a budget. */
+/** Random task tree: every task spawns 0-4 children up to a budget.
+ *  The shape is a function of the task alone, never of the worker
+ *  that happens to process it (the seed task's worker is whichever
+ *  one adopts the job). */
 ProcessFn
 randomTree(std::atomic<int64_t> &budget)
 {
-    return [&budget](unsigned tid, const Task &task,
+    return [&budget](unsigned, const Task &task,
                      std::vector<Task> &children) {
-        Rng rng(task.node * 2654435761u + task.priority + tid);
+        Rng rng(task.node * 2654435761u + task.priority);
         unsigned fanout = static_cast<unsigned>(rng.below(5));
         for (unsigned i = 0; i < fanout; ++i) {
             if (budget.fetch_sub(1, std::memory_order_relaxed) <= 0)

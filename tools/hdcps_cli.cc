@@ -434,6 +434,7 @@ runThreads(const Options &options, Workload &workload)
     runOptions.numThreads = options.threads;
     runOptions.watchdogMs = options.watchdogMs;
     runOptions.reclaimAfterMs = options.reclaimAfterMs;
+    runOptions.recordBreakdown = true; // the report prints the split
 
     // Straggler injection lives for the run only; the RAII scope keeps
     // the injector installed exactly while workers may pause.
